@@ -74,7 +74,6 @@ from .regression import (
     mean_min_extended,
     mean_original_given_extended,
     pair_regression_r1,
-    tabulate_regression,
 )
 
 __all__ = [
@@ -124,7 +123,6 @@ __all__ = [
     "mean_max_extended",
     "mean_adjacent",
     "mean_given_single",
-    "tabulate_regression",
     # reconstruction
     "ReconstructionError",
     "ReconstructionResult",

@@ -89,7 +89,7 @@ def _spec_from(cfg: dict) -> OverlapSpec:
     if missing:
         raise ConfigError(f"missing spec values: {missing}")
     try:
-        return OverlapSpec(*(int(cfg[k]) for k in _SPEC_KEYS))
+        return OverlapSpec(*(cfg[k] for k in _SPEC_KEYS))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 

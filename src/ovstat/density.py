@@ -27,9 +27,8 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import binom
-from .overlap import OverlapSpec, marginal_rank_probability
+from .overlap import OverlapSpec, cached_table, marginal_rank_probability
 from .parent import ParentModel
-from . import overlap as _overlap
 
 __all__ = [
     "NuDensity",
@@ -41,23 +40,26 @@ __all__ = [
     "rectangle_probability",
 ]
 
-import functools
+
+def _os_kernel(N: int, k: int, u):
+    """Density at u of the k-th order statistic of N iid uniforms."""
+    return (k * binom(N, k)) * u ** (k - 1) * (1.0 - u) ** (N - k)
 
 
-@functools.lru_cache(maxsize=512)
-def _table_cached(spec: OverlapSpec):
-    return _overlap.probability_table(spec)
+def _pair_kernel(N: int, k: int, ell: int, u, v):
+    """Joint density of the (k-th, ell-th) of N iid uniforms at u < v, k < ell;
+    callers zero the half-plane u > v."""
+    coeff = math.factorial(N) / (
+        math.factorial(k - 1) * math.factorial(ell - k - 1) * math.factorial(N - ell)
+    )
+    return coeff * u ** (k - 1) * np.maximum(v - u, 0.0) ** (ell - k - 1) * (1.0 - v) ** (N - ell)
 
 
 def marginal_os_density(model: ParentModel, j: int, n: int, x) -> float | np.ndarray:
     """Density of the j-th order statistic of an n-sample at x."""
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
-    xa = np.asarray(x, dtype=float)
-    w = np.asarray(model.cdf(xa), dtype=float)
-    coeff = j * binom(n, j)
-    out = coeff * w ** (j - 1) * (1.0 - w) ** (n - j) * np.asarray(model.pdf(xa), dtype=float)
-    return float(out) if np.ndim(x) == 0 else out
+    return _assemble(model, n, (), ((j, 1.0),)).atom(x)
 
 
 def joint_os_density(model: ParentModel, k: int, ell: int, n: int, x, y) -> float | np.ndarray:
@@ -68,24 +70,7 @@ def joint_os_density(model: ParentModel, k: int, ell: int, n: int, x, y) -> floa
     """
     if not 1 <= k < ell <= n:
         raise ValueError("need 1 <= k < ell <= n")
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
-    u = np.asarray(model.cdf(xa), dtype=float)
-    v = np.asarray(model.cdf(ya), dtype=float)
-    coeff = math.factorial(n) // (
-        math.factorial(k - 1) * math.factorial(ell - k - 1) * math.factorial(n - ell)
-    )
-    mid = np.maximum(v - u, 0.0)
-    val = (
-        coeff
-        * u ** (k - 1)
-        * mid ** (ell - k - 1)
-        * (1.0 - v) ** (n - ell)
-        * np.asarray(model.pdf(xa), dtype=float)
-        * np.asarray(model.pdf(ya), dtype=float)
-    )
-    out = np.where(xa < ya, val, 0.0)
-    return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+    return _assemble(model, n, ((k, ell, 1.0),), ()).continuous(x, y)
 
 
 @dataclass(frozen=True)
@@ -123,43 +108,9 @@ def _assemble(model: ParentModel, N: int, cont_terms, atom_terms) -> NuDensity:
         above = xa > ya
         for k, ell, w in cont_terms:
             if k < ell:
-                coeff = w * (
-                    math.factorial(N)
-                    / (
-                        math.factorial(k - 1)
-                        * math.factorial(ell - k - 1)
-                        * math.factorial(N - ell)
-                    )
-                )
-                val = (
-                    coeff
-                    * u ** (k - 1)
-                    * np.maximum(v - u, 0.0) ** (ell - k - 1)
-                    * (1.0 - v) ** (N - ell)
-                    * px
-                    * py
-                )
-                out = np.where(below, out + val, out)
-            else:
-                # pair (k, ell) with k > ell lives on x > y; same bivariate
-                # kernel with the roles of the two coordinates exchanged
-                coeff = w * (
-                    math.factorial(N)
-                    / (
-                        math.factorial(ell - 1)
-                        * math.factorial(k - ell - 1)
-                        * math.factorial(N - k)
-                    )
-                )
-                val = (
-                    coeff
-                    * v ** (ell - 1)
-                    * np.maximum(u - v, 0.0) ** (k - ell - 1)
-                    * (1.0 - u) ** (N - k)
-                    * px
-                    * py
-                )
-                out = np.where(above, out + val, out)
+                out = np.where(below, out + w * _pair_kernel(N, k, ell, u, v) * px * py, out)
+            else:  # k > ell lives on x > y: the same kernel, coordinates exchanged
+                out = np.where(above, out + w * _pair_kernel(N, ell, k, v, u) * px * py, out)
         if np.ndim(x) == 0 and np.ndim(y) == 0:
             return float(out)
         return out
@@ -170,7 +121,7 @@ def _assemble(model: ParentModel, N: int, cont_terms, atom_terms) -> NuDensity:
         px = np.asarray(model.pdf(xa), dtype=float)
         out = np.zeros(np.shape(xa))
         for k, w in atom_terms:
-            out = out + w * (k * binom(N, k)) * u ** (k - 1) * (1.0 - u) ** (N - k) * px
+            out = out + w * _os_kernel(N, k, u) * px
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -187,7 +138,7 @@ def _assemble(model: ParentModel, N: int, cont_terms, atom_terms) -> NuDensity:
 
 def overlap_density(spec: OverlapSpec, model: ParentModel) -> NuDensity:
     """Joint nu-density of the two overlapping-sample order statistics."""
-    table = _table_cached(spec)
+    table = cached_table(spec)
     cont = []
     atoms = []
     for (k, ell), p in table.nonzero().items():
@@ -238,26 +189,18 @@ def _mass_at_order(d: NuDensity, order: int) -> float:
     qd = np.asarray(model.quantile_density(z), dtype=float)
 
     total = 0.0
-    # upper triangle u < v: u = v*s
-    v = np.repeat(z, order)
-    s = np.tile(z, order)
     wgt = np.repeat(wz, order) * np.tile(wz, order)
-    u = v * s
-    xq = np.asarray(model.quantile(u), dtype=float)
-    yq = np.asarray(model.quantile(v), dtype=float)
-    g = d.continuous(xq, yq) * np.asarray(model.quantile_density(u), dtype=float) * np.asarray(
-        model.quantile_density(v), dtype=float
-    )
-    total += float(np.sum(wgt * g * v))
-    # lower triangle u > v: v = u*s
-    uu = v
-    vv = u
-    xq = np.asarray(model.quantile(uu), dtype=float)
-    yq = np.asarray(model.quantile(vv), dtype=float)
-    g = d.continuous(xq, yq) * np.asarray(model.quantile_density(uu), dtype=float) * np.asarray(
-        model.quantile_density(vv), dtype=float
-    )
-    total += float(np.sum(wgt * g * uu))
+    outer = np.repeat(z, order)
+    inner = outer * np.tile(z, order)
+    # upper triangle u < v with u = v*s, then lower triangle u > v with v = u*s;
+    # the Jacobian of either map is the outer coordinate
+    for u, v in ((inner, outer), (outer, inner)):
+        xq = np.asarray(model.quantile(u), dtype=float)
+        yq = np.asarray(model.quantile(v), dtype=float)
+        g = d.continuous(xq, yq) * np.asarray(model.quantile_density(u), dtype=float) * np.asarray(
+            model.quantile_density(v), dtype=float
+        )
+        total += float(np.sum(wgt * g * outer))
     # diagonal atom
     total += float(np.sum(wz * d.atom(q) * qd))
     return total
@@ -306,7 +249,7 @@ def rectangle_probability(spec: OverlapSpec, model: ParentModel, x: float, y: fl
     Expands the mixture: each rank pair contributes its weight times the
     joint cdf of the two pooled uniform order statistics at (F(x), F(y)).
     """
-    table = _table_cached(spec)
+    table = cached_table(spec)
     a = float(model.cdf(x))
     b = float(model.cdf(y))
     N = spec.pooled_size

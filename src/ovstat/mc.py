@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .density import rectangle_probability
-from .overlap import OverlapSpec, probability_table
+from .overlap import OverlapSpec, cached_table
 from .parent import U_MIN, ParentModel
 from .regression import mean_original_given_extended
 
@@ -260,7 +260,7 @@ def verify_spec(
 ) -> MCReport:
     """Compare the exact rank-pair table and rectangle probabilities with MC."""
     sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
-    table = probability_table(spec)
+    table = cached_table(spec)
     freqs = tie_table_from_sample(sample)
     comparisons: list[Comparison] = []
 

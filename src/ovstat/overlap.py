@@ -10,10 +10,10 @@ statistic of the pooled sample, and
     p(k, ell) = P(first os realises pooled rank k, second realises rank ell)
 
 is an exact rational number depending only on the integer geometry.  This
-module evaluates the closed-form expression for ``p(k, ell)`` (a three-way
-case split on k < ell, k = ell, k > ell built from the block-hit counts of
-:mod:`ovstat.combinatorics`), assembles full probability tables, and provides
-an exhaustive rank-enumeration oracle for verification.
+module evaluates the closed-form expression for ``p(k, ell)`` (cases k < ell
+and k = ell built from the block-hit counts of :mod:`ovstat.combinatorics`,
+k > ell through :meth:`OverlapSpec.swapped`), assembles tables over the support
+rectangle, and provides an exhaustive rank-enumeration oracle for verification.
 
 All probabilities are `fractions.Fraction` values; nothing is rounded.
 """
@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -65,6 +66,9 @@ class OverlapSpec:
     j: int
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.r < 0:
             raise ValueError("r must be >= 0")
         if self.m < 1 or self.n < 1:
@@ -97,6 +101,13 @@ class OverlapSpec:
         """Pooled ranks the second order statistic can realise."""
         return range(self.j, self.j + self.r + 1)
 
+    def swapped(self) -> OverlapSpec:
+        """The pooled sequence read backwards: the samples exchange roles.
+
+        Always valid, same pooled size; p(k, ell) here is p(ell, k) there.
+        """
+        return OverlapSpec(self.n + self.r - self.m, self.n, self.m, self.j, self.i)
+
 
 def marginal_rank_probability(i: int, m: int, k: int, n: int) -> Fraction:
     """P(the i-th os of an m-subsample equals the k-th os of the full n-sample).
@@ -114,12 +125,15 @@ def marginal_rank_probability(i: int, m: int, k: int, n: int) -> Fraction:
 def rank_match_probability(spec: OverlapSpec, k: int, ell: int) -> Fraction:
     """Exact P(first os has pooled rank k, second has pooled rank ell).
 
-    Case split on the relative position of the two pooled ranks; each branch
-    is a ratio of block-hit permutation counts to (n+r)!.  Zero outside the
-    support rectangle i <= k <= i + n + r - m, j <= ell <= j + r.
+    Case split on the relative position of the two pooled ranks; each case
+    is a ratio of block-hit permutation counts to (n+r)!, k > ell via the
+    swapped spec.  Zero outside the support rectangle i <= k <= i + n + r - m,
+    j <= ell <= j + r.
     """
     if not (1 <= k <= spec.pooled_size and 1 <= ell <= spec.pooled_size):
         raise ValueError("ranks must lie in 1..n+r")
+    if k > ell:
+        return rank_match_probability(spec.swapped(), ell, k)
     if k not in spec.k_support or ell not in spec.ell_support:
         return Fraction(0)
     a, b, c = spec.block_sizes
@@ -128,24 +142,17 @@ def rank_match_probability(spec: OverlapSpec, k: int, ell: int) -> Fraction:
     if k == ell:
         num = b * count_matching(CountParams(a, b - 1, c, k - 1, 0, k - i, k - j))
         return Fraction(num, pooled_fact)
-    if k < ell:
-        num = (n - j + 1) * (
-            a * count_matching(CountParams(a - 1, b, c, k - 1, ell - k - 1, k - i, ell - j - 1))
-            + b * count_matching(CountParams(a, b - 1, c, k - 1, ell - k - 1, k - i, ell - j))
-        )
-        return Fraction(num, (r + n - ell + 1) * pooled_fact)
-    # k > ell: the mirrored expression with the outer blocks and the two
-    # rank/index pairs exchanged.
-    num = (spec.m - i + 1) * (
-        c * count_matching(CountParams(c - 1, b, a, ell - 1, k - ell - 1, ell - j, k - i - 1))
-        + b * count_matching(CountParams(c, b - 1, a, ell - 1, k - ell - 1, ell - j, k - i))
+    num = (n - j + 1) * (
+        a * count_matching(CountParams(a - 1, b, c, k - 1, ell - k - 1, k - i, ell - j - 1))
+        + b * count_matching(CountParams(a, b - 1, c, k - 1, ell - k - 1, k - i, ell - j))
     )
-    return Fraction(num, (r + n - k + 1) * pooled_fact)
+    return Fraction(num, (r + n - ell + 1) * pooled_fact)
 
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Full table of rank-pair probabilities for one overlap geometry."""
+    """Rank-pair probabilities of one geometry over its support rectangle;
+    ``table[(k, ell)]`` is 0 on every other cell of the N x N grid."""
 
     spec: OverlapSpec
     entries: dict[tuple[int, int], Fraction] = field(repr=False)
@@ -172,8 +179,13 @@ class ProbabilityTable:
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {kl: p for kl, p in self.entries.items() if p != 0}
 
+    def _grid(self):
+        N = self.spec.pooled_size
+        return (((k, ell), self[(k, ell)]) for k in range(1, N + 1) for ell in range(1, N + 1))
+
     def to_json_dict(self, digits: int = 12) -> dict:
         s = self.spec
+        total = self.total()
         return {
             "spec": {"r": s.r, "m": s.m, "n": s.n, "i": s.i, "j": s.j},
             "pooled_size": s.pooled_size,
@@ -185,9 +197,9 @@ class ProbabilityTable:
                     "den": p.denominator,
                     "decimal": _decimal(p, digits),
                 }
-                for (k, ell), p in sorted(self.entries.items())
+                for (k, ell), p in self._grid()
             ],
-            "total": {"num": self.total().numerator, "den": self.total().denominator},
+            "total": {"num": total.numerator, "den": total.denominator},
         }
 
     def to_json(self, digits: int = 12) -> str:
@@ -195,7 +207,7 @@ class ProbabilityTable:
 
     def to_csv_rows(self, digits: int = 12) -> list[tuple]:
         rows: list[tuple] = [("k", "ell", "num", "den", "decimal")]
-        for (k, ell), p in sorted(self.entries.items()):
+        for (k, ell), p in self._grid():
             rows.append((k, ell, p.numerator, p.denominator, _decimal(p, digits)))
         return rows
 
@@ -207,14 +219,20 @@ def _decimal(p: Fraction, digits: int) -> str:
 
 
 def probability_table(spec: OverlapSpec) -> ProbabilityTable:
-    """All (k, ell) rank-pair probabilities; entries sum exactly to 1."""
-    N = spec.pooled_size
+    """A fresh table of the support rectangle; entries sum exactly to 1."""
     entries = {
         (k, ell): rank_match_probability(spec, k, ell)
-        for k in range(1, N + 1)
-        for ell in range(1, N + 1)
+        for k in spec.k_support
+        for ell in spec.ell_support
     }
     return ProbabilityTable(spec=spec, entries=entries)
+
+
+@functools.lru_cache(maxsize=512)
+def cached_table(spec: OverlapSpec) -> ProbabilityTable:
+    """One shared table per geometry for the library's callers; never modified."""
+    # not lru_cache(probability_table): a replaced global still sees the misses
+    return probability_table(spec)
 
 
 def probability_table_bruteforce(spec: OverlapSpec) -> ProbabilityTable:

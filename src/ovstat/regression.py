@@ -9,7 +9,9 @@ weighted by the exact rank-pair probabilities and by cdf-dependent factors.
 The single-sample conditional means reduce to integrals of the parent
 quantile function against polynomial kernels (the conditional law of one os
 given another is that of an os from a truncated parent), so everything is
-evaluated with one scalar quadrature engine in quantile coordinates.
+evaluated with one scalar quadrature engine in quantile coordinates.  The
+second curve is the first one of the swapped geometry
+(:meth:`ovstat.overlap.OverlapSpec.swapped`), which exchanges the two samples.
 
 Specialised closed forms for the smallest genuinely overlapping geometry
 (offset 1, both samples of size 2) and for extension-sample regressions
@@ -20,16 +22,13 @@ paths is part of the verification suite.
 
 from __future__ import annotations
 
-import functools
 import warnings
 from typing import Callable
 
 from scipy.integrate import IntegrationWarning, quad
 
 from .combinatorics import binom
-from .curve import Curve, tabulate
-from .overlap import OverlapSpec
-from . import overlap as _overlap
+from .overlap import OverlapSpec, cached_table
 from .parent import ParentModel
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "mean_max_extended",
     "mean_adjacent",
     "mean_given_single",
-    "tabulate_regression",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-11, epsrel=1e-11, limit=400)
@@ -55,11 +53,6 @@ def _quiet_quad(fn, lo, hi):
         warnings.simplefilter("ignore", IntegrationWarning)
         val, _ = quad(fn, lo, hi, **_QUAD_OPTS)
     return val
-
-
-@functools.lru_cache(maxsize=512)
-def _table(spec: OverlapSpec):
-    return _overlap.probability_table(spec)
 
 
 def _quad_q(model: ParentModel, weight: Callable[[float], float], lo: float, hi: float) -> float:
@@ -122,13 +115,14 @@ def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float
     F = float(model.cdf(y))
     Fb = 1.0 - F
     j, n = spec.j, spec.n
+    table = cached_table(spec)
     total = 0.0
     for ell in spec.ell_support:
         wf = (ell * binom(N, ell)) / (j * binom(n, j)) * F ** (ell - j) * Fb ** (j + spec.r - ell)
         if wf == 0.0:
             continue
         for k in spec.k_support:
-            p = float(_table(spec)[(k, ell)])
+            p = float(table[(k, ell)])
             if p == 0.0:
                 continue
             total += p * wf * conditional_os_mean(model, k, ell, N, y)
@@ -136,23 +130,8 @@ def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float
 
 
 def mean_extended_given_original(spec: OverlapSpec, model: ParentModel, x: float) -> float:
-    """E(second os | first os = x): the dual rank-mixture representation."""
-    _check_mean(model)
-    N = spec.pooled_size
-    F = float(model.cdf(x))
-    Fb = 1.0 - F
-    i, m = spec.i, spec.m
-    total = 0.0
-    for k in spec.k_support:
-        wf = (k * binom(N, k)) / (i * binom(m, i)) * F ** (k - i) * Fb ** (N - m - k + i)
-        if wf == 0.0:
-            continue
-        for ell in spec.ell_support:
-            p = float(_table(spec)[(k, ell)])
-            if p == 0.0:
-                continue
-            total += p * wf * conditional_os_mean(model, ell, k, N, x)
-    return total
+    """E(second os | first os = x): E(first | second) of the swapped geometry."""
+    return mean_original_given_extended(spec.swapped(), model, x)
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +237,3 @@ def mean_given_single(model: ParentModel, j: int, n: int, x: float) -> float:
         c = (j - 1) * binom(n - 1, j - 1)
         total += _quad_q(model, lambda u: c * u ** (j - 2) * (1.0 - u) ** (n - j), w, 1.0)
     return total
-
-
-def tabulate_regression(
-    producer: Callable[[float], float],
-    model: ParentModel,
-    size: int = 99,
-    meaning: str = "regression",
-) -> Curve:
-    """Tabulate a pointwise regression on the quantile-spaced grid."""
-    return tabulate(producer, model, size=size, meaning=meaning)

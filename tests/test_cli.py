@@ -197,6 +197,15 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["probs", "--config", str(bad)]) == 2
 
 
+def test_config_non_integer_spec_exit_2(tmp_path, capsys):
+    # config values are not truncated: r = 1.7 or j = true is a configuration error
+    for values in ({"r": 1.7}, {"j": True}, {"m": "2"}):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"r": 1, "m": 2, "n": 2, "i": 1, "j": 1, **values}))
+        assert main(["probs", "--config", str(cfg)]) == 2, values
+        assert "integer" in capsys.readouterr().err
+
+
 def test_regress_json_and_byte_purity(tmp_path):
     args = [
         "regress",

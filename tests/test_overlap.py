@@ -1,6 +1,8 @@
+import itertools
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,22 @@ def test_spec_validation():
         OverlapSpec(1, 2, 2, 0, 1)
     with pytest.raises(ValueError):
         OverlapSpec(1, 2, 2, 1, 3)
+
+
+def test_spec_rejects_non_integers():
+    base = (1, 2, 2, 1, 1)
+    for pos, value in enumerate(base):
+        for bad in (float(value), value + 0.5, Fraction(value), str(value)):
+            args = list(base)
+            args[pos] = bad
+            with pytest.raises(ValueError):
+                OverlapSpec(*args)
+    for pos in (0, 3, 4):  # the fields equal to 1, where True would otherwise pass
+        args = list(base)
+        args[pos] = True
+        with pytest.raises(ValueError):
+            OverlapSpec(*args)
+    assert OverlapSpec(*(np.int64(v) for v in base)) == OverlapSpec(*base)
 
 
 def test_block_sizes():
@@ -92,7 +110,9 @@ def test_oracle_equality_small():
     for spec in specs:
         exact = probability_table(spec)
         oracle = probability_table_bruteforce(spec)
-        assert exact.entries == oracle.entries, spec
+        N = spec.pooled_size
+        for cell in itertools.product(range(1, N + 1), repeat=2):
+            assert exact[cell] == oracle[cell], (spec, cell)
 
 
 def test_oracle_budget():
@@ -132,6 +152,24 @@ def test_row_and_column_marginals(spec):
         assert table.col_marginal(ell) == marginal_rank_probability(spec.j, spec.n, ell, N)
 
 
+@given(spec=small_specs(max_pooled=40))
+@settings(max_examples=40, deadline=None)
+def test_large_tables_exact_and_swap_is_transpose(spec):
+    # beyond the enumeration budget: k > ell cells come from the swapped geometry
+    table = probability_table(spec)
+    N = spec.pooled_size
+    assert table.total() == 1
+    for k in range(1, N + 1):
+        assert table.row_marginal(k) == marginal_rank_probability(spec.i, spec.m, k, N)
+        assert table.col_marginal(k) == marginal_rank_probability(spec.j, spec.n, k, N)
+    swapped = spec.swapped()
+    assert swapped.pooled_size == N
+    assert swapped.swapped() == spec
+    transpose = probability_table(swapped)
+    for k, ell in itertools.product(range(1, N + 1), repeat=2):
+        assert transpose[(ell, k)] == table[(k, ell)]
+
+
 def test_extension_diagonal_specialises_to_subsample_formula():
     # with no offset the diagonal entries reproduce the closed subsample law
     for (i, m, n) in [(1, 2, 4), (2, 3, 5), (3, 4, 6)]:
@@ -154,3 +192,18 @@ def test_serialization_roundtrip():
     assert rows[0] == ("k", "ell", "num", "den", "decimal")
     assert ("1", "1") != rows[1][:2]  # numbers stay numeric
     assert rows[1][:4] == (1, 1, 1, 3)
+
+
+def test_csv_rows_cover_full_grid():
+    # entries hold the support rectangle; the CSV still lists all N^2 cells in
+    # row order, structural zeros included
+    spec = OverlapSpec(1, 3, 3, 2, 1)
+    table = probability_table(spec)
+    assert len(table.entries) < 16
+    rows = table.to_csv_rows()
+    assert [row[:2] for row in rows[1:]] == list(itertools.product(range(1, 5), repeat=2))
+    for k, ell, num, den, decimal in rows[1:]:
+        assert Fraction(num, den) == table[(k, ell)]
+        if (k, ell) not in table.entries:
+            assert (num, den, decimal) == (0, 1, "0")
+    assert (4, 4, 0, 1, "0") in rows

@@ -14,7 +14,6 @@ from ovstat.regression import (
     mean_min_extended,
     mean_original_given_extended,
     pair_regression_r1,
-    tabulate_regression,
 )
 
 UNI = parent.uniform()
@@ -174,13 +173,13 @@ def test_infinite_mean_warning():
 
 
 def test_tabulate_regression():
-    curve = tabulate_regression(
+    curve = tabulate(
         lambda y: pair_regression_r1("max_given_max", UNI, y), UNI, size=99, meaning="pair max"
     )
     assert len(curve) == 99
     assert np.all(np.isfinite(curve.values))
     assert curve.is_monotone()
-    again = tabulate_regression(
+    again = tabulate(
         lambda y: pair_regression_r1("max_given_max", UNI, y), UNI, size=99
     )
     assert np.array_equal(curve.values, again.values)
