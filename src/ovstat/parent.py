@@ -104,7 +104,8 @@ class ParentModel:
             support=(-b, -a),
             cdf=_vec(lambda x: 1.0 - np.asarray(self.cdf(-x), dtype=float)),
             pdf=_vec(lambda x: np.asarray(self.pdf(-x), dtype=float)),
-            quantile=_vec(lambda u: -np.asarray(self.quantile(1.0 - u), dtype=float)),
+            # below 2^-53, 1 - u would round to 1, where the quantile may be infinite
+            quantile=_vec(lambda u: -np.asarray(self.quantile(1.0 - np.maximum(u, 2.0**-53)), dtype=float)),
             quantile_density=_vec(
                 lambda u: np.asarray(self.quantile_density(1.0 - u), dtype=float)
             ),

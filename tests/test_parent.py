@@ -145,6 +145,15 @@ def test_negate_and_affine():
     assert sc.quantile_density(0.3) == pytest.approx(3.0)
 
 
+def test_negate_quantile_deep_in_left_tail():
+    # below 2^-53 the mirrored level 1 - u rounds to 1; the quantile stays at
+    # its value at 2^-53 instead of returning -inf
+    neg = parent.logistic().negate()
+    deep = neg.quantile(np.array([1e-300, 2.0**-54, 2.0**-53]))
+    assert np.all(np.isfinite(deep))
+    assert neg.quantile(1e-300) == neg.quantile(2.0**-53) == pytest.approx(-math.log(2.0**53 - 1))
+
+
 def test_make_family_and_config():
     m = parent.make_family("power", alpha=2.0)
     assert m.cdf(0.5) == pytest.approx(0.25)

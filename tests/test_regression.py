@@ -1,3 +1,7 @@
+import functools
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,11 +19,57 @@ from ovstat.regression import (
     mean_original_given_extended,
     pair_regression_r1,
 )
+from ovstat.regression import _quad_q
 
 UNI = parent.uniform()
 EXP = parent.exponential()
 LOG = parent.logistic()
 PARENTS = [UNI, EXP, LOG]
+
+
+# Exact quantile functions for the mpmath oracle.  Each takes the level u and
+# its complement c = 1 - u, so that no tail value is formed by a subtraction.
+MP_PARENTS = {
+    "uniform": (UNI, lambda u, c: u),
+    "exponential": (EXP, lambda u, c: -mpmath.log(c)),
+    "logistic": (LOG, lambda u, c: mpmath.log(u / c)),
+    "negative_pareto(3)": (parent.negative_pareto(3.0), lambda u, c: 1 - u ** (-mpmath.mpf(1) / 3)),
+    "power_law(0.5)": (parent.power_law(0.5), lambda u, c: u**2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def mp_beta_mean(name, above, a, size, w):
+    """E of the a-th of ``size`` draws truncated below (above=False) or above
+    (above=True) the level w, as an mpmath quadrature at 30 digits.
+
+    The mean depends on (k, ell, N) only through these four numbers, so the
+    cache serves every geometry that shares them.
+    """
+    Q = MP_PARENTS[name][1]
+    with mpmath.workdps(30):
+        w = mpmath.mpf(w)
+        if above:
+            point = lambda z: Q(w + (1 - w) * z, (1 - w) * (1 - z))  # noqa: E731
+        else:
+            point = lambda z: Q(w * z, 1 - w * z)  # noqa: E731
+        kernel = lambda z: a * binom(size, a) * z ** (a - 1) * (1 - z) ** (size - a)  # noqa: E731
+        return mpmath.quad(lambda z: point(z) * kernel(z), [0, 1])
+
+
+def mp_conditional_os_mean(name, k, ell, N, y):
+    """Oracle for conditional_os_mean at the same float level cdf(y)."""
+    w = float(MP_PARENTS[name][0].cdf(y))
+    if k == ell:
+        return mpmath.mpf(y)
+    if k < ell:
+        return mp_beta_mean(name, False, k, ell - 1, w)
+    return mp_beta_mean(name, True, k - ell, N - ell, w)
+
+
+def relative_error(got, want, floor=0.0):
+    """|got - want| relative to |want|, or to ``floor`` where that is larger."""
+    return float(abs(mpmath.mpf(got) - want) / max(abs(want), floor))
 
 
 def quantile_points(model, count=25):
@@ -192,3 +242,70 @@ def test_curve_validation():
         Curve(np.array([0.1, 0.2]), np.array([1.0, np.inf]))
     with pytest.raises(ValueError):
         tabulate(lambda x: x, UNI, size=1)
+
+
+def test_mixture_finite_near_upper_endpoint():
+    # near z = 1 the level F + (1 - F) z rounds to 1, where the quantile is inf
+    spec = OverlapSpec(1, 2, 2, 2, 2)
+    y = float(EXP.quantile(1.0 - 1e-12))
+    got = mean_original_given_extended(spec, EXP, y)
+    assert math.isfinite(got)
+    N, F = spec.pooled_size, mpmath.mpf(float(EXP.cdf(y)))
+    table = probability_table(spec)
+    want = mpmath.mpf(0)
+    for ell in spec.ell_support:
+        wf = mpmath.mpf(ell * binom(N, ell)) / (spec.j * binom(spec.n, spec.j))
+        wf *= F ** (ell - spec.j) * (1 - F) ** (spec.j + spec.r - ell)
+        for k in spec.k_support:
+            p = table[(k, ell)]
+            if p:
+                want += mpmath.mpf(p.numerator) / p.denominator * wf * mp_conditional_os_mean("exponential", k, ell, N, y)
+    assert relative_error(got, want) <= 1e-12
+
+
+ENGINE_CASES = [(k, ell, N) for N in range(2, 7) for k in range(1, N + 1) for ell in range(1, N + 1) if k != ell]
+
+
+@pytest.mark.parametrize("name", list(MP_PARENTS))
+def test_conditional_os_mean_against_mpmath(name):
+    model = MP_PARENTS[name][0]
+    worst = 0.0
+    for level in (1e-6, 0.3, 0.99):
+        y = float(model.quantile(level))
+        for k, ell, N in ENGINE_CASES:
+            got, want = conditional_os_mean(model, k, ell, N, y), mp_conditional_os_mean(name, k, ell, N, y)
+            # a mean near 0 (logistic draws above Q(1e-6)) is a cancellation
+            # of terms of the size of y, so |y| bounds the scale from below
+            worst = max(worst, relative_error(got, want, abs(y)))
+    assert worst <= 1e-12, worst
+    # one level from the top the quantile's argument is only resolved to
+    # 2^-53 / 1e-6 of the range above y, which caps the accuracy
+    y = float(model.quantile(1.0 - 1e-6))
+    for k, ell, N in ENGINE_CASES:
+        got = conditional_os_mean(model, k, ell, N, y)
+        assert math.isfinite(got)
+        assert relative_error(got, mp_conditional_os_mean(name, k, ell, N, y), abs(y)) <= 1e-9, (k, ell, N)
+
+
+def hermite_tail_integral(model, u, values, deriv, lo):
+    """Exact integral of a tabulated quantile over (lo, 1): cubic Hermite panels
+    above lo, and the constant the table clips to beyond its last node."""
+    i = int(np.searchsorted(u, lo, side="right"))  # first node above lo
+    h = np.diff(u[i:])
+    full = h * (values[i:-1] + values[i + 1 :]) / 2 + h**2 * (deriv[i:-1] - deriv[i + 1 :]) / 12
+    nodes, weights = np.polynomial.legendre.leggauss(3)  # exact on the cubic piece holding lo
+    half = (u[i] - lo) / 2
+    partial = half * float(weights @ model.quantile(lo + half * (nodes + 1)))
+    return math.fsum(full) + partial + (1.0 - u[-1]) * values[-1]
+
+
+def test_quad_q_on_tabulated_quantile():
+    # cb's quantile is a C^1 Hermite table, constant beyond 1 - 1e-12; the
+    # heavy right tail (beta = 1.5) puts much of the integral near that end
+    cb = parent.complementary_beta(0.5, 1.5)
+    table = parent._QuantileTable(lambda u: u**-0.5 * (1.0 - u) ** -1.5, 0.0, 1.0)
+    assert np.array_equal(cb.quantile(table.u), table.values)
+    for level in (0.5, 0.9, 0.99, 0.999):
+        want = hermite_tail_integral(cb, table.u, table.values, table.deriv, level)
+        got = _quad_q(cb, lambda u: 1.0, level, 1.0)
+        assert abs(got - want) <= 1e-6 * abs(want), level
