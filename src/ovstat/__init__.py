@@ -7,13 +7,11 @@ from .combinatorics import (
     CountParams,
     binom,
     count_matching,
-    count_matching_bruteforce,
     falling_factorial,
 )
 from .curve import Curve, tabulate
 from .density import (
     NuDensity,
-    extension_density,
     joint_os_density,
     marginal_os_density,
     nu_total_mass,
@@ -37,7 +35,6 @@ from .overlap import (
     ProbabilityTable,
     marginal_rank_probability,
     probability_table,
-    probability_table_bruteforce,
     rank_match_probability,
 )
 from .parent import (
@@ -83,14 +80,12 @@ __all__ = [
     "binom",
     "falling_factorial",
     "count_matching",
-    "count_matching_bruteforce",
     # overlap probabilities
     "OverlapSpec",
     "ProbabilityTable",
     "rank_match_probability",
     "marginal_rank_probability",
     "probability_table",
-    "probability_table_bruteforce",
     # parents
     "ParentModel",
     "uniform",
@@ -108,7 +103,6 @@ __all__ = [
     "marginal_os_density",
     "joint_os_density",
     "overlap_density",
-    "extension_density",
     "nu_total_mass",
     "rectangle_probability",
     # curves and regression

@@ -13,7 +13,6 @@ Everything in this module is exact integer arithmetic; no floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,11 +21,7 @@ __all__ = [
     "binom",
     "falling_factorial",
     "count_matching",
-    "count_matching_bruteforce",
-    "bruteforce_histogram",
 ]
-
-MAX_BRUTEFORCE_LENGTH = 10
 
 
 def binom(a: int, b: int) -> int:
@@ -104,48 +99,3 @@ def count_matching(p: CountParams) -> int:
         acc += binom(j, m) * binom(s, k - i - m) * binom(s + t + m - k, ell + m - j)
     return math.factorial(k) * math.factorial(ell) * math.factorial(n - k - ell) * head * acc
 
-
-def count_matching_bruteforce(p: CountParams) -> int:
-    """Exhaustive enumeration of all n! permutations; test oracle only.
-
-    Raises ValueError above ``MAX_BRUTEFORCE_LENGTH`` items.
-    """
-    if min(p.r, p.s, p.t, p.k, p.ell) < 0 or p.k + p.ell > p.n:
-        return 0
-    n = p.n
-    if n > MAX_BRUTEFORCE_LENGTH:
-        raise ValueError(f"enumeration budget exceeded: {n} > {MAX_BRUTEFORCE_LENGTH}")
-    first_cut = p.r
-    last_cut = p.r + p.s
-    count = 0
-    for perm in itertools.permutations(range(1, n + 1)):
-        hits_last = sum(1 for v in perm[: p.k] if v > last_cut)
-        if hits_last != p.i:
-            continue
-        hits_first = sum(1 for v in perm[: p.k + p.ell] if v <= first_cut)
-        if hits_first == p.j:
-            count += 1
-    return count
-
-
-def bruteforce_histogram(r: int, s: int, t: int, k: int, ell: int) -> dict[tuple[int, int], int]:
-    """Histogram of (inner-prefix last-block hits, outer-prefix first-block
-    hits) over all permutations, for sweep tests.
-
-    One enumeration serves every (i, j) pair, which keeps full-range
-    equivalence sweeps tractable.
-    """
-    n = r + s + t
-    if n > MAX_BRUTEFORCE_LENGTH:
-        raise ValueError(f"enumeration budget exceeded: {n} > {MAX_BRUTEFORCE_LENGTH}")
-    if k + ell > n:
-        raise ValueError("prefix lengths exceed the permutation length")
-    first_cut = r
-    last_cut = r + s
-    hist: dict[tuple[int, int], int] = {}
-    for perm in itertools.permutations(range(1, n + 1)):
-        hits_last = sum(1 for v in perm[:k] if v > last_cut)
-        hits_first = sum(1 for v in perm[: k + ell] if v <= first_cut)
-        key = (hits_last, hits_first)
-        hist[key] = hist.get(key, 0) + 1
-    return hist

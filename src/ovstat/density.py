@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import binom
-from .overlap import OverlapSpec, cached_table, marginal_rank_probability
+from .overlap import OverlapSpec, cached_table
 from .parent import ParentModel
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "marginal_os_density",
     "joint_os_density",
     "overlap_density",
-    "extension_density",
     "nu_total_mass",
     "rectangle_probability",
 ]
@@ -147,28 +146,6 @@ def overlap_density(spec: OverlapSpec, model: ParentModel) -> NuDensity:
         else:
             cont.append((k, ell, float(p)))
     return _assemble(model, spec.pooled_size, cont, atoms)
-
-
-def extension_density(i: int, m: int, j: int, n: int, model: ParentModel) -> NuDensity:
-    """Joint nu-density of (i-th os of the first m draws, j-th os of all n).
-
-    Direct mixture over the pooled rank of the subsample os: weight
-    C(k-1, i-1) C(n-k, m-i) / C(n, m) on the pair (k, j); the k = j term is
-    the diagonal atom.
-    """
-    if not (1 <= i <= m <= n and 1 <= j <= n):
-        raise ValueError("need 1 <= i <= m <= n and 1 <= j <= n")
-    cont = []
-    atoms = []
-    for k in range(i, i + n - m + 1):
-        w = float(marginal_rank_probability(i, m, k, n))
-        if w == 0.0:
-            continue
-        if k == j:
-            atoms.append((k, w))
-        else:
-            cont.append((k, j, w))
-    return _assemble(model, n, cont, atoms)
 
 
 def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:

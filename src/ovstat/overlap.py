@@ -12,8 +12,8 @@ statistic of the pooled sample, and
 is an exact rational number depending only on the integer geometry.  This
 module evaluates the closed-form expression for ``p(k, ell)`` (cases k < ell
 and k = ell built from the block-hit counts of :mod:`ovstat.combinatorics`,
-k > ell through :meth:`OverlapSpec.swapped`), assembles tables over the support
-rectangle, and provides an exhaustive rank-enumeration oracle for verification.
+k > ell through :meth:`OverlapSpec.swapped`) and assembles tables over the
+support rectangle.
 
 All probabilities are `fractions.Fraction` values; nothing is rounded.
 """
@@ -21,7 +21,6 @@ All probabilities are `fractions.Fraction` values; nothing is rounded.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import numbers
@@ -36,11 +35,7 @@ __all__ = [
     "rank_match_probability",
     "marginal_rank_probability",
     "probability_table",
-    "probability_table_bruteforce",
-    "bruteforce_rank_histograms",
 ]
-
-MAX_ORACLE_POOLED = 9
 
 
 @dataclass(frozen=True)
@@ -234,64 +229,3 @@ def cached_table(spec: OverlapSpec) -> ProbabilityTable:
     # not lru_cache(probability_table): a replaced global still sees the misses
     return probability_table(spec)
 
-
-def probability_table_bruteforce(spec: OverlapSpec) -> ProbabilityTable:
-    """Exact table from enumerating all (n+r)! pooled rank assignments.
-
-    Rank arithmetic only: each assignment determines which pooled ranks the
-    two order statistics realise, so frequencies are exact rationals with no
-    sampling or floating point involved.  Budget-limited test oracle.
-    """
-    N = spec.pooled_size
-    if N > MAX_ORACLE_POOLED:
-        raise ValueError(f"enumeration budget exceeded: {N} > {MAX_ORACLE_POOLED}")
-    counts: dict[tuple[int, int], int] = {}
-    for ranks in itertools.permutations(range(1, N + 1)):
-        k = sorted(ranks[: spec.m])[spec.i - 1]
-        ell = sorted(ranks[spec.r : spec.r + spec.n])[spec.j - 1]
-        key = (k, ell)
-        counts[key] = counts.get(key, 0) + 1
-    total = math.factorial(N)
-    entries = {
-        (k, ell): Fraction(counts.get((k, ell), 0), total)
-        for k in range(1, N + 1)
-        for ell in range(1, N + 1)
-    }
-    return ProbabilityTable(spec=spec, entries=entries)
-
-
-@functools.lru_cache(maxsize=4)
-def _pooled_permutations(N: int):
-    import numpy as np
-
-    return np.array(list(itertools.permutations(range(1, N + 1))), dtype=np.int64)
-
-
-def bruteforce_rank_histograms(r: int, m: int, n: int) -> dict[tuple[int, int], dict[tuple[int, int], int]]:
-    """Rank-pair counts for every (i, j) at once, from one enumeration.
-
-    Returns {(i, j): {(k, ell): count}}; dividing by (n+r)! gives the exact
-    table.  Amortises the factorial scan across all index pairs, which is what
-    makes full verification sweeps affordable.
-    """
-    import numpy as np
-
-    N = n + r
-    if N > MAX_ORACLE_POOLED:
-        raise ValueError(f"enumeration budget exceeded: {N} > {MAX_ORACLE_POOLED}")
-    perms = _pooled_permutations(N)
-    first = np.sort(perms[:, :m], axis=1)  # column i-1 = pooled rank of i-th os
-    second = np.sort(perms[:, r : r + n], axis=1)
-    out: dict[tuple[int, int], dict[tuple[int, int], int]] = {}
-    for i in range(1, m + 1):
-        ki = first[:, i - 1]
-        for j in range(1, n + 1):
-            lj = second[:, j - 1]
-            flat = np.bincount((ki - 1) * N + (lj - 1), minlength=N * N)
-            out[(i, j)] = {
-                (k, ell): int(flat[(k - 1) * N + (ell - 1)])
-                for k in range(1, N + 1)
-                for ell in range(1, N + 1)
-                if flat[(k - 1) * N + (ell - 1)]
-            }
-    return out

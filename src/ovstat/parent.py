@@ -19,8 +19,11 @@ to scale.
 
 Numeric construction tabulates Q on a log-geometric grid reaching 1e-12 into
 both tails (panelwise Gauss-Legendre, then cubic Hermite evaluation with the
-exact derivative q); the cdf is the numerical inverse of the same table, so
-cdf and quantile round-trip to inversion tolerance by construction.
+exact derivative q).  The quantile finds its panel from the logarithm of the
+level; the cdf inverts the same table, one panel cubic at a time, by Newton's
+method safeguarded with bisection, so cdf and quantile round-trip to inversion
+tolerance by construction.  Outside the support the cdf is exactly 0 or 1 and
+the pdf is 0.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ __all__ = [
 
 U_MIN = 1e-12
 _GRID_RATIO = 1.004
+_NEWTON_STEPS = 16
 
 
 def _maybe_scalar(x, out: np.ndarray):
@@ -241,6 +245,10 @@ class _QuantileTable:
         right = 1.0 - np.exp(np.linspace(math.log(0.5), math.log(U_MIN), n_side))
         self.u = np.concatenate([left, right[1:]])
         self.median_index = n_side - 1
+        # panels per unit of log distance to the nearer end, and the offset
+        # that counts them from U_MIN less half a panel (see _panel)
+        self._inv_step = (n_side - 1) / (math.log(0.5) - math.log(U_MIN))
+        self._shift = -math.log(U_MIN) * self._inv_step - 0.5
 
         q_arr = _coerce_vectorized(q)
         nodes, weights = np.polynomial.legendre.leggauss(16)
@@ -283,25 +291,60 @@ class _QuantileTable:
             + (t3 - t2) * h * d1
         )
 
+    def _panel(self, u: np.ndarray) -> np.ndarray:
+        """Index of the panel holding each level u in [u[0], u[-1]].
+
+        The nodes are geometric in u below the median and in 1 - u above it,
+        so the logarithm of the distance to the nearer end (1 - u is exact
+        above 1/2) places u to within a small fraction of a panel.  The
+        estimate is taken half a panel low, so that one comparison with the
+        next stored node absorbs the rounding of exp and linspace.
+        """
+        near = np.log(np.minimum(u, 1.0 - u)) * self._inv_step + self._shift
+        pos = np.where(u < 0.5, near, 2 * self.median_index - 1 - near)
+        idx = np.fmax(pos, 0.0).astype(np.intp)  # a nan level goes to panel 0
+        idx += u >= self.u[idx + 1]
+        return np.minimum(idx, len(self.u) - 2)
+
     def quantile(self, u: np.ndarray) -> np.ndarray:
         u = np.clip(np.asarray(u, dtype=float), self.u[0], self.u[-1])
-        idx = np.clip(np.searchsorted(self.u, u, side="right") - 1, 0, len(self.u) - 2)
-        t = (u - self.u[idx]) / (self.u[idx + 1] - self.u[idx])
-        return self._hermite(idx, t)
+        idx = self._panel(u)
+        u0 = self.u[idx]
+        return self._hermite(idx, (u - u0) / (self.u[idx + 1] - u0))
 
     def cdf(self, x: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`quantile`, clipped to [u[0], u[-1]].
+
+        In the panel holding x, the root in t of the monotone Hermite cubic
+        minus x is found by Newton's method from the linear interpolant.  The
+        cubic is taken in powers of t about the panel's left node, so only
+        the exact difference y0 - x carries the size of the values.  A bracket
+        around the root is kept; a Newton step that leaves it (the test is
+        closed, so a root at t = 0 is kept) becomes a bisection step.
+        """
         x = np.asarray(x, dtype=float)
         idx = np.clip(np.searchsorted(self.values, x, side="right") - 1, 0, len(self.u) - 2)
-        lo = np.zeros_like(x, dtype=float)
-        hi = np.ones_like(x, dtype=float)
-        for _ in range(60):  # bisection in panel coordinate; monotone cubic
-            t = 0.5 * (lo + hi)
-            above = self._hermite(idx, t) > x
-            hi = np.where(above, t, hi)
-            lo = np.where(above, lo, t)
-        t = 0.5 * (lo + hi)
-        u = self.u[idx] + t * (self.u[idx + 1] - self.u[idx])
-        return np.clip(u, self.u[0], self.u[-1])
+        h = self.u[idx + 1] - self.u[idx]
+        y0, dy = self.values[idx], self.values[idx + 1] - self.values[idx]
+        s0, s1 = h * self.deriv[idx], h * self.deriv[idx + 1]
+        c2, c3 = 3.0 * dy - 2.0 * s0 - s1, s0 + s1 - 2.0 * dy
+        gap = y0 - x
+        lo = np.zeros_like(x)
+        hi = np.ones_like(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.clip(-gap / dy, 0.0, 1.0)
+            for _ in range(_NEWTON_STEPS):
+                f = gap + t * (s0 + t * (c2 + t * c3))
+                above = f > 0
+                hi = np.where(above, t, hi)
+                lo = np.where(above, lo, t)
+                step = t - f / (s0 + t * (2.0 * c2 + 3.0 * t * c3))
+                step = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+                moving = np.abs(step - t) > 2.0**-50  # below this u = u0 + t h cannot move
+                t = step
+                if not moving.any():
+                    break
+        return np.clip(self.u[idx] + t * h, self.u[0], self.u[-1])
 
     def decade_sums(self, of_values: bool) -> tuple[np.ndarray, np.ndarray]:
         """Per-decade integrals of q (or of |Q|) near each endpoint; used for
@@ -371,17 +414,22 @@ def from_quantile_density(
     finite_mean = not (_diverges(v_left) or _diverges(v_right))
 
     qd = table._q
-    sc = scale
-    model = ParentModel(
+
+    def cdf(x):  # 0 and 1 outside the support; the table stops 1e-12 short
+        return np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, table.cdf(x)))
+
+    def pdf(x):  # 0 unless x lies inside the support, as for the closed forms
+        return np.where((x > lo) & (x < hi), 1.0 / (scale * qd(table.cdf(x))), 0.0)
+
+    return ParentModel(
         name=name or "quantile-density family",
         support=(lo, hi),
-        cdf=_vec(table.cdf),
-        pdf=_vec(lambda x: 1.0 / (sc * qd(table.cdf(np.asarray(x, dtype=float))))),
+        cdf=_vec(cdf),
+        pdf=_vec(pdf),
         quantile=_vec(table.quantile),
-        quantile_density=_vec(lambda u: sc * qd(np.asarray(u, dtype=float))),
+        quantile_density=_vec(lambda u: scale * qd(u)),
         finite_mean=finite_mean,
     )
-    return model
 
 
 def _finite_endpoint(table: _QuantileTable, decades: np.ndarray, left: bool) -> float:

@@ -10,11 +10,12 @@ The single-sample conditional means reduce to integrals of the parent
 quantile function against polynomial kernels (the conditional law of one os
 given another is that of an os from a truncated parent), so everything is
 evaluated in quantile coordinates by one vectorised tanh-sinh rule on (0, 1):
-289 nodes, levels exact at the left end and capped at 1 - 2^-53 on the right.
-A mixture sums its kernels on the nodes first, so a point costs one quantile
-evaluation on each side of the conditioning level.  The second curve is the
-first one of the swapped geometry (:meth:`ovstat.overlap.OverlapSpec.swapped`),
-which exchanges the two samples.
+289 nodes, levels exact at the left end and capped at 1 - 2^-53 on the right;
+a conditioning level F(y) that has reached the cap is refused wherever the
+levels above it carry weight.  A mixture sums its kernels on the nodes first,
+so a point costs one quantile evaluation on each side of the conditioning
+level.  The second curve is the first one of the swapped geometry
+(:meth:`ovstat.overlap.OverlapSpec.swapped`), which exchanges the two samples.
 
 Specialised closed forms for the smallest genuinely overlapping geometry
 (offset 1, both samples of size 2) and for extension-sample regressions
@@ -66,6 +67,14 @@ def _integral(model: ParentModel, kernel: np.ndarray, lo: float, hi: float) -> f
     return float(np.dot(_W * kernel, model.quantile(u)))
 
 
+def _integral_above(model: ParentModel, kernel: np.ndarray, F: float) -> float:
+    """Integral over z in (0, 1) of Q(F + (1 - F) z) * kernel(z); refused once
+    F has reached the level cap, where every node would collapse onto it."""
+    if F >= _U_RANGE[1] and kernel.any():
+        raise ValueError("conditioning level F(y) rounds to 1: the upper tail is not resolved")
+    return _integral(model, kernel, F, 1.0)
+
+
 def _quad_q(model: ParentModel, weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
     """Integral of Q(u) * weight(u) over (lo, hi) in quantile coordinates."""
     if hi <= lo:
@@ -103,7 +112,7 @@ def conditional_os_mean(model: ParentModel, k: int, ell: int, N: int, y: float) 
     w = float(model.cdf(y))
     if k < ell:  # k-th of ell-1 draws below y
         return _integral(model, _beta_kernel(k, ell - 1), 0.0, w)
-    return _integral(model, _beta_kernel(k - ell, N - ell), w, 1.0)  # (k-ell)-th of N-ell above y
+    return _integral_above(model, _beta_kernel(k - ell, N - ell), w)  # (k-ell)-th of N-ell above y
 
 
 def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float) -> float:
@@ -136,7 +145,7 @@ def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float
                 above += p * wf * _beta_kernel(k - ell, N - ell)
             else:
                 at_y += p * wf
-    return at_y * y + _integral(model, below, 0.0, F) + _integral(model, above, F, 1.0)
+    return at_y * y + _integral(model, below, 0.0, F) + _integral_above(model, above, F)
 
 
 def mean_extended_given_original(spec: OverlapSpec, model: ParentModel, x: float) -> float:

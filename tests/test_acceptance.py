@@ -21,11 +21,7 @@ from ovstat.mc import (
     regression_comparison,
     verify_spec,
 )
-from ovstat.overlap import (
-    OverlapSpec,
-    bruteforce_rank_histograms,
-    probability_table,
-)
+from ovstat.overlap import OverlapSpec, probability_table
 from ovstat.parent import from_quantile_density
 from ovstat.reconstruct import (
     from_adjacent_regression,
@@ -43,6 +39,8 @@ from ovstat.regression import (
     mean_original_given_extended,
     pair_regression_r1,
 )
+
+from oracles import bruteforce_rank_histograms
 
 UNI = parent.uniform()
 EXP = parent.exponential()

@@ -6,7 +6,6 @@ from scipy.integrate import dblquad, quad
 
 from ovstat import parent
 from ovstat.density import (
-    extension_density,
     joint_os_density,
     marginal_os_density,
     nu_total_mass,
@@ -14,6 +13,8 @@ from ovstat.density import (
     rectangle_probability,
 )
 from ovstat.overlap import OverlapSpec, probability_table
+
+from oracles import extension_density
 
 UNI = parent.uniform()
 EXP = parent.exponential()

@@ -11,9 +11,10 @@ from ovstat.overlap import (
     OverlapSpec,
     marginal_rank_probability,
     probability_table,
-    probability_table_bruteforce,
     rank_match_probability,
 )
+
+from oracles import probability_table_bruteforce
 
 
 def test_spec_validation():

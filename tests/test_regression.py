@@ -309,3 +309,38 @@ def test_quad_q_on_tabulated_quantile():
         want = hermite_tail_integral(cb, table.u, table.values, table.deriv, level)
         got = _quad_q(cb, lambda u: 1.0, level, 1.0)
         assert abs(got - want) <= 1e-6 * abs(want), level
+
+
+def mp_mixture(spec, name, y):
+    """Oracle for mean_original_given_extended at the same float level cdf(y)."""
+    N, F = spec.pooled_size, mpmath.mpf(float(MP_PARENTS[name][0].cdf(y)))
+    table = probability_table(spec)
+    want = mpmath.mpf(0)
+    for ell in spec.ell_support:
+        wf = mpmath.mpf(ell * binom(N, ell)) / (spec.j * binom(spec.n, spec.j))
+        wf *= F ** (ell - spec.j) * (1 - F) ** (spec.j + spec.r - ell)
+        for k in spec.k_support:
+            p = table[(k, ell)]
+            if p:
+                want += mpmath.mpf(p.numerator) / p.denominator * wf * mp_conditional_os_mean(name, k, ell, N, y)
+    return want
+
+
+def test_upper_side_refused_once_level_rounds_to_one():
+    # E(X1 | min(X1, X2) = y) is about y + 1/2 for the logistic parent; at
+    # y = 800, F(y) rounds to 1 and every upper-side node would collapse onto
+    # the level cap, giving a finite but wrong 418.37
+    spec = OverlapSpec(0, 1, 2, 1, 1)
+    for y in (36.8, 800.0):
+        assert float(LOG.cdf(y)) >= 1.0 - 2.0**-53
+        with pytest.raises(ValueError, match="upper"):
+            mean_original_given_extended(spec, LOG, y)
+        with pytest.raises(ValueError, match="upper"):
+            conditional_os_mean(LOG, 2, 1, 2, y)
+    # E(X1 | max(X1, X2) = y) has no upper side: y/2 + E(X | X < y)/2, about 400
+    assert mean_original_given_extended(OverlapSpec(0, 1, 2, 1, 2), LOG, 800.0) == pytest.approx(400.0)
+    # F(30) = 1 - 9.3e-14 is still resolved; levels near 1 are spaced 2^-53
+    # apart, about 1.2e-3 of the remaining tail there, so the tolerance is loose
+    # (measured 1.7e-5)
+    got = mean_original_given_extended(spec, LOG, 30.0)
+    assert relative_error(got, mp_mixture(spec, "logistic", 30.0)) <= 1e-4
