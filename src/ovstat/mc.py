@@ -7,11 +7,22 @@ through floating-point equality of simulated reals.
 
 Streams are counter-based (Philox) and chunked with a fixed chunk size: chunk
 c of a run with seed s always uses the (s, c) key, so aggregates are
-bit-identical whether chunks run serially or on a thread pool.
+bit-identical whether chunks run serially or on a thread pool.  Each chunk
+writes its slice of preallocated outputs.
+
+A chunk is drawn in blocks of 2^15 rows that continue its one stream.  Per
+block, the i-th of m values comes from a compare-exchange network pruned to
+that output, run on the block's contiguous columns, or from sorting the rows
+where the network would be the slower; ranks count the other sample's draws
+only; the parent quantile runs on the block while it is in cache.  For a
+given seed and chunk size the samples, and every report built on them, are
+those of one whole-chunk draw with row sorts and full rank counts (unless
+two draws of one row are equal, which has probability below N^2 / 2^54).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -38,6 +49,11 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 1_000_000
+# rows drawn at a time: a block's N columns stay in cache through the
+# selection, the rank counts and the quantile calls
+_BLOCK_ROWS = 1 << 15
+# minimum/maximum calls per block above which sorting the rows is faster
+_MAX_NETWORK_OPS = 160
 
 
 @dataclass(frozen=True)
@@ -64,19 +80,89 @@ def _chunk_ranges(count: int, chunk_size: int) -> list[tuple[int, int]]:
     return [(start, min(start + chunk_size, count)) for start in range(0, count, chunk_size)]
 
 
-def _simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, index: int):
+@functools.lru_cache(maxsize=None)
+def _selection_network(m: int, i: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """The comparators of Batcher's odd-even merge sort on m wires that its i-th output needs.
+
+    The network is built for the next power of two, less the comparators
+    that touch a wire >= m (exact when those wires hold +inf).  Each entry is
+    (low wire, high wire, keep the min, keep the max); an output no later
+    comparator reads is not computed.
+    """
+    size = 1 << (m - 1).bit_length()
+    pairs = []
+    p = 1
+    while p < size:
+        k = p
+        while k >= 1:
+            for j in range(k % p, size - k, 2 * k):
+                for a in range(j, j + min(k, size - j - k)):
+                    if a // (2 * p) == (a + k) // (2 * p) and a + k < m:
+                        pairs.append((a, a + k))
+            k //= 2
+        p *= 2
+    live = {i - 1}
+    kept = []
+    for a, b in reversed(pairs):
+        if a in live or b in live:
+            kept.append((a, b, a in live, b in live))
+            live |= {a, b}
+    return tuple(reversed(kept))
+
+
+def _order_statistic(rows: np.ndarray, columns: np.ndarray, i: int) -> np.ndarray:
+    """The i-th smallest of each draw's m values, given as rows (b x m) and as columns (m x b).
+
+    Small selections run the pruned network on the contiguous columns; above
+    ``_MAX_NETWORK_OPS`` calls, sorting the rows is faster.  Either way the
+    result is one of the drawn values, so it does not depend on the route.
+    """
+    network = _selection_network(len(columns), i)
+    if sum(keep_lo + keep_hi for _, _, keep_lo, keep_hi in network) > _MAX_NETWORK_OPS:
+        return np.sort(rows, axis=1)[:, i - 1]
+    wires = list(columns)
+    for a, b, keep_lo, keep_hi in network:
+        low, high = wires[a], wires[b]
+        if keep_lo:
+            wires[a] = np.minimum(low, high)
+        if keep_hi:
+            wires[b] = np.maximum(low, high)
+    return wires[i - 1]
+
+
+def _simulate_chunk(
+    spec: OverlapSpec,
+    model: ParentModel,
+    seed: int,
+    index: int,
+    x: np.ndarray,
+    y: np.ndarray,
+    rank_x: np.ndarray,
+    rank_y: np.ndarray,
+) -> None:
+    """Fill one chunk's slices of the outputs from the (seed, index) stream.
+
+    The chunk is drawn in blocks of ``_BLOCK_ROWS`` rows; consecutive
+    ``random`` calls continue one stream, so the draws are those of one call
+    for the whole chunk.
+    """
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
-    N = spec.pooled_size
-    u = rng.random((size, N))
-    xu = np.sort(u[:, : spec.m], axis=1)[:, spec.i - 1]
-    yu = np.sort(u[:, spec.r : spec.r + spec.n], axis=1)[:, spec.j - 1]
-    rank_x = (u <= xu[:, None]).sum(axis=1).astype(np.int16)
-    rank_y = (u <= yu[:, None]).sum(axis=1).astype(np.int16)
-    x = np.asarray(model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN)), dtype=float)
-    y = np.asarray(model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN)), dtype=float)
-    return x, y, rank_x, rank_y
+    r, m, n, N = spec.r, spec.m, spec.n, spec.pooled_size
+    for lo in range(0, len(x), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(x))
+        u = rng.random((hi - lo, N))
+        columns = u.T.copy()
+        xu = _order_statistic(u[:, :m], columns[:m], spec.i)
+        yu = _order_statistic(u[:, r : r + n], columns[r : r + n], spec.j)
+        # the i-th (j-th) os's own sample holds exactly i (j) draws <= it, so
+        # only the other sample's draws are counted; this assumes the row's
+        # draws distinct
+        rank_x[lo:hi] = spec.i + np.count_nonzero(columns[m:] <= xu, axis=0)
+        rank_y[lo:hi] = spec.j + np.count_nonzero(columns[:r] <= yu, axis=0)
+        x[lo:hi] = model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN))
+        y[lo:hi] = model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN))
 
 
 def simulate_pairs(
@@ -94,22 +180,20 @@ def simulate_pairs(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
+    x, y = np.empty(count), np.empty(count)
+    rank_x, rank_y = np.empty(count, dtype=np.int16), np.empty(count, dtype=np.int16)
     ranges = _chunk_ranges(count, chunk_size)
-    sizes = [hi - lo for lo, hi in ranges]
-    if workers and workers > 1 and len(sizes) > 1:
+
+    def run(index: int) -> None:
+        lo, hi = ranges[index]
+        _simulate_chunk(spec, model, seed, index, x[lo:hi], y[lo:hi], rank_x[lo:hi], rank_y[lo:hi])
+
+    if workers and workers > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    lambda idx_size: _simulate_chunk(spec, model, idx_size[1], seed, idx_size[0]),
-                    enumerate(sizes),
-                )
-            )
+            list(pool.map(run, range(len(ranges))))
     else:
-        parts = [_simulate_chunk(spec, model, size, seed, idx) for idx, size in enumerate(sizes)]
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
-    rank_x = np.concatenate([p[2] for p in parts])
-    rank_y = np.concatenate([p[3] for p in parts])
+        for index in range(len(ranges)):
+            run(index)
     return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
 
 
@@ -162,26 +246,26 @@ def binned_conditional_mean(
     lo, hi = trim
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("trim must be an increasing pair inside [0, 1]")
-    edges = np.quantile(y, np.linspace(lo, hi, bins + 1))
-    keep = (y >= edges[0]) & (y <= edges[-1])
-    ys = y[keep]
-    xs = x[keep]
-    idx = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
+    edges = np.quantile(np.sort(y), np.linspace(lo, hi, bins + 1), overwrite_input=True)
+    # slot 0 takes y below the trim range and slot bins + 1 y above it (and
+    # nan); slots 1..bins are the bins, the last one closed at the top edge
+    slot = np.searchsorted(edges, y, side="right")
+    slot[y == edges[-1]] = bins
+    counts = np.bincount(slot, minlength=bins + 2)[1:-1]
     if np.any(counts == 0):
         raise ValueError("empty bin; reduce the bin count or enlarge the sample")
-    diff = xs - ys
+
+    def _sums(values: np.ndarray) -> np.ndarray:
+        return np.bincount(slot, weights=values, minlength=bins + 2)[1:-1]
 
     def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1 = np.bincount(idx, weights=values, minlength=bins)
-        s2 = np.bincount(idx, weights=values * values, minlength=bins)
-        mean = s1 / counts
-        var = np.maximum(s2 / counts - mean**2, 0.0)
+        mean = _sums(values) / counts
+        var = np.maximum(_sums(values * values) / counts - mean**2, 0.0)
         return mean, np.sqrt(var / counts)
 
-    x_mean, x_se = _mean_se(xs)
-    y_mean, _ = _mean_se(ys)
-    diff_mean, diff_se = _mean_se(diff)
+    x_mean, x_se = _mean_se(x)
+    y_mean = _sums(y) / counts
+    diff_mean, diff_se = _mean_se(x - y)
     return BinnedMeans(
         edges=edges,
         counts=counts,
@@ -249,6 +333,29 @@ class MCReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.ndarray:
+    """Empirical P(X <= x_cuts[a], Y <= y_cuts[b]) for every a, b, from one cell count.
+
+    Each pair falls in one cell of the grid the sorted cuts make; the
+    rectangle counts are cumulative sums of the cell counts, exact integers,
+    divided by the sample size.
+    """
+    width = len(y_cuts) + 1
+    dtype = np.min_scalar_type((len(x_cuts) + 1) * width - 1)
+
+    def cuts_below(values: np.ndarray, cuts) -> np.ndarray:
+        # a few comparisons beat searchsorted on unsorted values; nan, like
+        # a value above every cut, lies in no rectangle
+        below = np.full(len(values), len(cuts), dtype=dtype)
+        for cut in cuts:
+            below -= values <= cut
+        return below
+
+    cell = cuts_below(x, x_cuts) * width + cuts_below(y, y_cuts)
+    grid = np.bincount(cell, minlength=(len(x_cuts) + 1) * width).reshape(-1, width)
+    return grid.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(x)
+
+
 def verify_spec(
     spec: OverlapSpec,
     model: ParentModel,
@@ -284,12 +391,12 @@ def verify_spec(
     )
 
     levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
-    for uu in levels:
-        x0 = float(model.quantile(uu))
-        for vv in levels:
-            y0 = float(model.quantile(vv))
+    cuts = [float(model.quantile(uu)) for uu in levels]
+    frequencies = _rectangle_frequencies(sample.x, sample.y, cuts, cuts)
+    for a, (uu, x0) in enumerate(zip(levels, cuts)):
+        for b, (vv, y0) in enumerate(zip(levels, cuts)):
             p = rectangle_probability(spec, model, x0, y0)
-            emp = float(np.mean((sample.x <= x0) & (sample.y <= y0)))
+            emp = float(frequencies[a, b])
             se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
             comparisons.append(Comparison(f"rect[u={uu:.3f},v={vv:.3f}]", p, emp, se))
 

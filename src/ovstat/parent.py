@@ -155,7 +155,7 @@ def exponential() -> ParentModel:
     return ParentModel(
         name="exponential",
         support=(0.0, math.inf),
-        cdf=_vec(lambda x: np.where(x > 0, -np.expm1(-np.maximum(x, 0.0)), 0.0)),
+        cdf=_vec(lambda x: np.where(x <= 0, 0.0, -np.expm1(-np.maximum(x, 0.0)))),
         pdf=_vec(lambda x: np.where(x > 0, np.exp(-np.maximum(x, 0.0)), 0.0)),
         quantile=_vec(lambda u: -np.log1p(-u)),
         quantile_density=_vec(lambda u: 1.0 / (1.0 - u)),
@@ -186,7 +186,7 @@ def negative_pareto(shape: float, rate: float = 1.0, upper: float = 0.0) -> Pare
     return ParentModel(
         name=f"negative_pareto(shape={shape:g}, rate={rate:g}, upper={upper:g})",
         support=(-math.inf, upper),
-        cdf=_vec(lambda x: np.where(x < upper, (1.0 + rate * (upper - np.minimum(x, upper))) ** (-shape), 1.0)),
+        cdf=_vec(lambda x: np.where(x >= upper, 1.0, (1.0 + rate * (upper - np.minimum(x, upper))) ** (-shape))),
         pdf=_vec(
             lambda x: np.where(
                 x < upper,
@@ -207,7 +207,7 @@ def negative_exponential(rate: float = 1.0) -> ParentModel:
     return ParentModel(
         name=f"negative_exponential(rate={rate:g})",
         support=(-math.inf, 0.0),
-        cdf=_vec(lambda x: np.where(x < 0, np.exp(rate * np.minimum(x, 0.0)), 1.0)),
+        cdf=_vec(lambda x: np.where(x >= 0, 1.0, np.exp(rate * np.minimum(x, 0.0)))),
         pdf=_vec(lambda x: np.where(x < 0, rate * np.exp(rate * np.minimum(x, 0.0)), 0.0)),
         quantile=_vec(lambda u: np.log(u) / rate),
         quantile_density=_vec(lambda u: 1.0 / (rate * u)),

@@ -1,9 +1,11 @@
-"""Enumeration and direct-mixture oracles for the test suite.
+"""Enumeration, direct-mixture and reference-kernel oracles for the test suite.
 
 Each oracle computes a quantity of the library by a second, independent
 route: counting over all permutations, or mixing over the pooled rank
 directly.  The enumerations are exact but factorial in cost, so each refuses
-sizes above its budget.
+sizes above its budget.  The Monte Carlo oracles are the straightforward
+sort-per-row sampler and mask-based binning and rectangle counts, which the
+blocked kernels in ``ovstat.mc`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from fractions import Fraction
 import numpy as np
 
 from ovstat.combinatorics import CountParams
+from ovstat.mc import BinnedMeans, PairSample, _chunk_ranges
 from ovstat.density import NuDensity, _assemble
 from ovstat.overlap import OverlapSpec, ProbabilityTable, marginal_rank_probability
-from ovstat.parent import ParentModel
+from ovstat.parent import U_MIN, ParentModel
 
 MAX_BRUTEFORCE_LENGTH = 10
 MAX_ORACLE_POOLED = 9
@@ -148,3 +151,96 @@ def extension_density(i: int, m: int, j: int, n: int, model: ParentModel) -> NuD
         else:
             cont.append((k, j, w))
     return _assemble(model, n, cont, atoms)
+
+
+def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, index: int):
+    """One chunk of the sort-per-row sampler: whole-row sorts and N-column rank counts."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
+    )
+    N = spec.pooled_size
+    u = rng.random((size, N))
+    xu = np.sort(u[:, : spec.m], axis=1)[:, spec.i - 1]
+    yu = np.sort(u[:, spec.r : spec.r + spec.n], axis=1)[:, spec.j - 1]
+    rank_x = (u <= xu[:, None]).sum(axis=1).astype(np.int16)
+    rank_y = (u <= yu[:, None]).sum(axis=1).astype(np.int16)
+    x = np.asarray(model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN)), dtype=float)
+    y = np.asarray(model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN)), dtype=float)
+    return x, y, rank_x, rank_y
+
+
+def simulate_pairs(
+    spec: OverlapSpec,
+    model: ParentModel,
+    count: int,
+    seed: int,
+    chunk_size: int = 1_000_000,
+    workers: int | None = None,
+) -> PairSample:
+    """The sort-per-row sampler, chunks run serially and concatenated.
+
+    The stream depends on the chunk partition only, so ``workers`` is ignored.
+    """
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    ranges = _chunk_ranges(count, chunk_size)
+    sizes = [hi - lo for lo, hi in ranges]
+    parts = [simulate_chunk(spec, model, size, seed, idx) for idx, size in enumerate(sizes)]
+    x = np.concatenate([p[0] for p in parts])
+    y = np.concatenate([p[1] for p in parts])
+    rank_x = np.concatenate([p[2] for p in parts])
+    rank_y = np.concatenate([p[3] for p in parts])
+    return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
+
+
+def binned_conditional_mean(
+    x: np.ndarray,
+    y: np.ndarray,
+    bins: int = 50,
+    trim: tuple[float, float] = (0.05, 0.95),
+) -> BinnedMeans:
+    """Quantile-bin y and average x within each bin, restricted to the trim range.
+
+    Masks the trimmed pairs out and bins the kept copies.
+    """
+    if bins < 10:
+        raise ValueError("need at least 10 bins")
+    lo, hi = trim
+    if not 0.0 <= lo < hi <= 1.0:
+        raise ValueError("trim must be an increasing pair inside [0, 1]")
+    edges = np.quantile(y, np.linspace(lo, hi, bins + 1))
+    keep = (y >= edges[0]) & (y <= edges[-1])
+    ys = y[keep]
+    xs = x[keep]
+    idx = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    if np.any(counts == 0):
+        raise ValueError("empty bin; reduce the bin count or enlarge the sample")
+    diff = xs - ys
+
+    def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        s1 = np.bincount(idx, weights=values, minlength=bins)
+        s2 = np.bincount(idx, weights=values * values, minlength=bins)
+        mean = s1 / counts
+        var = np.maximum(s2 / counts - mean**2, 0.0)
+        return mean, np.sqrt(var / counts)
+
+    x_mean, x_se = _mean_se(xs)
+    y_mean, _ = _mean_se(ys)
+    diff_mean, diff_se = _mean_se(diff)
+    return BinnedMeans(
+        edges=edges,
+        counts=counts,
+        y_mean=y_mean,
+        x_mean=x_mean,
+        x_se=x_se,
+        diff_mean=diff_mean,
+        diff_se=diff_se,
+    )
+
+
+def rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_levels, y_levels) -> np.ndarray:
+    """Empirical P(X <= x0, Y <= y0) on a grid, one mask per rectangle."""
+    return np.array(
+        [[float(np.mean((x <= x0) & (y <= y0))) for y0 in y_levels] for x0 in x_levels]
+    )

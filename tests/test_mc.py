@@ -1,9 +1,11 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
-from ovstat import parent
+import oracles
+from ovstat import mc, parent
 from ovstat.mc import (
     binned_conditional_mean,
     empirical_tie_table,
@@ -107,3 +109,154 @@ def test_identity_regression_self():
 def test_count_validation():
     with pytest.raises(ValueError):
         simulate_pairs(OverlapSpec(1, 2, 2, 1, 1), UNI, 0, seed=1)
+
+
+# -- the blocked kernel against the sort-per-row sampler ---------------------
+
+FIELDS = ("x", "y", "rank_x", "rank_y")
+PARENTS = {"uniform": UNI, "exponential": parent.exponential(), "cb": parent.complementary_beta(0.5, 1.5)}
+
+
+def _network_ops(m, i):
+    return sum(keep_lo + keep_hi for _, _, keep_lo, keep_hi in mc._selection_network(m, i))
+
+
+def _random_spec(rnd, N):
+    r = rnd.randint(0, N - 1)
+    m = rnd.randint(r + 1, N)
+    return OverlapSpec(r, m, N - r, rnd.randint(1, m), rnd.randint(1, N - r))
+
+
+def _kernel_cases():
+    rnd = random.Random(20261018)
+    specs = [_random_spec(rnd, rnd.randint(1, 30)) for _ in range(14)]
+    # m = 1, r = 0, and both routes of the selection at N = 30
+    specs += [OverlapSpec(0, 1, 1, 1, 1), OverlapSpec(0, 1, 5, 1, 3), OverlapSpec(2, 3, 6, 1, 4)]
+    specs += [OverlapSpec(0, 30, 30, 15, 1), OverlapSpec(6, 30, 24, 2, 12)]
+    block = mc._BLOCK_ROWS
+    # counts off every multiple; chunks below, between and above the block
+    shapes = [(2 * block + 11, 50_001), (block + 3, 10_007), (block - 5, 10**6), (90_001, 40_000)]
+    names = list(PARENTS)
+    return [
+        (spec, names[k % 3], *shapes[k % 4], 1 + k % 2)
+        for k, spec in enumerate(specs)
+    ]
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+def test_kernel_cases_cover_both_selection_routes():
+    used = {_network_ops(s.m, s.i) > mc._MAX_NETWORK_OPS for s, *_ in KERNEL_CASES}
+    used |= {_network_ops(s.n, s.j) > mc._MAX_NETWORK_OPS for s, *_ in KERNEL_CASES}
+    assert used == {False, True}
+    assert {name for _, name, *_ in KERNEL_CASES} == set(PARENTS)
+    assert {workers for *_, workers in KERNEL_CASES} == {1, 2}
+
+
+@pytest.mark.parametrize("spec, name, count, chunk_size, workers", KERNEL_CASES, ids=str)
+def test_simulate_pairs_matches_sorting_oracle(spec, name, count, chunk_size, workers):
+    model = PARENTS[name]
+    got = simulate_pairs(spec, model, count, seed=77, chunk_size=chunk_size, workers=workers)
+    want = oracles.simulate_pairs(spec, model, count, seed=77, chunk_size=chunk_size)
+    for f in FIELDS:
+        a, b = getattr(got, f), getattr(want, f)
+        assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+
+@pytest.mark.parametrize("m", range(1, 33))
+def test_selection_network_picks_every_order_statistic(m, monkeypatch):
+    rng = np.random.default_rng(m)
+    # rounded values, so that ties occur in most draws
+    rows = np.round(rng.random((500, m)), 1)
+    columns = rows.T.copy()
+    ordered = np.sort(rows, axis=1)
+    for limit in (-1, 10**6):  # force the sort, then the network
+        monkeypatch.setattr(mc, "_MAX_NETWORK_OPS", limit)
+        for i in range(1, m + 1):
+            assert np.array_equal(mc._order_statistic(rows, columns, i), ordered[:, i - 1]), (m, i, limit)
+
+
+# -- one-pass binning against the masking oracle -----------------------------
+
+BM_FIELDS = ("edges", "counts", "y_mean", "x_mean", "x_se", "diff_mean", "diff_se")
+
+
+def _assert_same_bins(x, y, bins, trim):
+    got = binned_conditional_mean(x, y, bins=bins, trim=trim)
+    want = oracles.binned_conditional_mean(x, y, bins=bins, trim=trim)
+    for f in BM_FIELDS:
+        assert np.array_equal(getattr(got, f), getattr(want, f)), f
+    return got
+
+
+def test_binned_means_match_oracle_on_mc_sample():
+    sample = simulate_pairs(OverlapSpec(1, 3, 3, 2, 2), parent.exponential(), 300_000, seed=8)
+    for bins, trim in [(50, (0.05, 0.95)), (12, (0.2, 0.8)), (25, (0.0, 1.0))]:
+        _assert_same_bins(sample.x, sample.y, bins, trim)
+
+
+def test_binned_means_top_edge_and_ties():
+    rng = np.random.default_rng(5)
+    y = np.round(rng.exponential(size=200_000), 2)
+    x = y + rng.normal(size=y.size)
+    # heavy ties: many y sit exactly on an edge, the top one included
+    bm = _assert_same_bins(x, y, 10, (0.05, 0.95))
+    assert np.count_nonzero(y == bm.edges[-1]) >= 50
+    # trim (0, 1): the top edge is the sample maximum, which the last bin keeps
+    bm = _assert_same_bins(x, y, 10, (0.0, 1.0))
+    assert bm.counts.sum() == y.size
+    y_top = np.where(y > 3.0, 3.0, y)  # the top 5% collapse onto one value
+    bm = _assert_same_bins(x, y_top, 10, (0.1, 0.99))
+    assert bm.edges[-1] == 3.0
+
+
+def test_binned_means_empty_bin_still_refused():
+    y = np.repeat([0.0, 1.0], 5_000)
+    for fn in (binned_conditional_mean, oracles.binned_conditional_mean):
+        with pytest.raises(ValueError, match="empty bin"):
+            fn(y, y, bins=10, trim=(0.0, 1.0))
+
+
+# -- whole reports against the parent's sampler, binning and masks -----------
+
+
+@pytest.fixture
+def parent_kernels(monkeypatch):
+    def use():
+        monkeypatch.setattr(mc, "simulate_pairs", oracles.simulate_pairs)
+        monkeypatch.setattr(mc, "binned_conditional_mean", oracles.binned_conditional_mean)
+        monkeypatch.setattr(mc, "_rectangle_frequencies", oracles.rectangle_frequencies)
+
+    return use
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_spec(OverlapSpec(1, 3, 3, 2, 2), parent.exponential(), count=150_000, seed=3),
+        lambda: verify_spec(OverlapSpec(2, 4, 5, 3, 1), PARENTS["cb"], count=70_000, seed=4, chunk_size=30_000, workers=2),
+        lambda: regression_comparison(OverlapSpec(1, 2, 2, 2, 2), UNI, count=300_000, seed=21, bins=25, chunk_size=100_000, workers=2),
+        lambda: identity_regression_comparison(OverlapSpec(0, 4, 4, 3, 3), PARENTS["cb"], count=100_000, seed=2, bins=10),
+    ],
+    ids=["verify-exp", "verify-cb", "regression", "identity"],
+)
+def test_reports_byte_identical_to_parent_kernels(run, parent_kernels):
+    new = run().to_json()
+    parent_kernels()
+    assert new == run().to_json()
+
+
+def test_rectangle_frequencies_match_masks():
+    sample = simulate_pairs(OverlapSpec(1, 2, 3, 1, 2), parent.logistic(), 100_000, seed=6)
+    x, y = sample.x.copy(), sample.y
+    x[::1000] = np.nan  # in no rectangle
+    cuts = [-1.5, -0.2, -0.2, 0.0, 0.7, 2.5]  # a repeated cut and one sample value
+    cuts[3] = float(np.sort(sample.x)[50_000])
+    cuts.sort()
+    for x_cuts, y_cuts in [(cuts, cuts[::2]), (cuts * 3, cuts * 3)]:  # one-byte and two-byte cells
+        x_cuts, y_cuts = sorted(x_cuts), sorted(y_cuts)
+        got = mc._rectangle_frequencies(x, y, x_cuts, y_cuts)
+        want = oracles.rectangle_frequencies(x, y, x_cuts, y_cuts)
+        assert got.shape == want.shape == (len(x_cuts), len(y_cuts))
+        assert np.array_equal(got, want)

@@ -191,6 +191,37 @@ def test_quantile_density_parent_respects_support(alpha, beta):
     assert np.count_nonzero(pdf) == 1 and pdf[len(below)] > 0
 
 
+# the closed-form cdfs as first written, with nan falling to the else branch
+OLD_CDFS = {
+    "exponential": lambda x: np.where(x > 0, -np.expm1(-np.maximum(x, 0.0)), 0.0),
+    "negative_exponential": lambda x: np.where(x < 0, np.exp(2.0 * np.minimum(x, 0.0)), 1.0),
+    "negative_pareto": lambda x: np.where(x < 0.5, (1.0 + 1.5 * (0.5 - np.minimum(x, 0.5))) ** (-2.0), 1.0),
+}
+
+
+CLOSED_FORMS = {
+    "exponential": parent.exponential,
+    "negative_exponential": lambda: parent.negative_exponential(2.0),
+    "negative_pareto": lambda: parent.negative_pareto(2.0, rate=1.5, upper=0.5),
+    "uniform": parent.uniform,
+    "power": lambda: parent.power_law(2.0),
+    "logistic": parent.logistic,
+}
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORMS))
+def test_closed_form_cdf_keeps_nan(name):
+    m = CLOSED_FORMS[name]()
+    assert math.isnan(m.cdf(math.nan)), name
+    xs = np.array([-math.inf, -3.0, -0.0, 0.0, 0.25, 0.5, 2.0, math.inf, math.nan])
+    cdf = m.cdf(xs)
+    assert math.isnan(cdf[-1]) and not np.any(np.isnan(cdf[:-1])), name
+    if name in OLD_CDFS:
+        rng = np.random.default_rng(3)
+        finite = np.concatenate([xs[:-1], rng.normal(0.0, 3.0, 10_000), [np.nextafter(0.5, 1.0), np.nextafter(0.0, -1.0)]])
+        assert np.array_equal(m.cdf(finite), OLD_CDFS[name](finite)), name
+
+
 # cb tables for the kernel tests: heavy one tail, light both, logistic, heavy left
 CB_TABLES = [(0.5, 1.5), (0.5, 0.5), (1.0, 1.0), (2.0, 0.3)]
 
