@@ -16,20 +16,27 @@ Each route inverts one of the closed-form regressions of
 
 Derivatives of tabulated curves default to three-point central differences;
 callers may pass exact derivatives when they have them.
+
+The adjacent route integrates every grid panel at once with the tanh-sinh rule
+of :mod:`ovstat._tanh_sinh` and sums the panels from the right.  An infinite
+upper end is mapped onto (0, 1) by t = a + z/(1 - z) (Takahasi & Mori 1974),
+and a tail whose two end nodes carry more than ``_END_SHARE`` = 1e-9 of the
+sum is refused as divergent or unresolved: they carry below 1e-12 of a tail
+decaying like t^-1.2 or faster, and more than half of a divergent one.  A
+tabulated gap is interpolated by the monotone cubic of Fritsch & Carlson
+(SIAM J. Numer. Anal. 17, 1980).  The single-draw route inverts the rank
+kernel on both monotone branches at once by safeguarded Newton steps.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
+from ._tanh_sinh import C as _C, W as _W, X as _X
 from .combinatorics import binom
 from .curve import Curve
 
@@ -46,6 +53,15 @@ __all__ = [
 ]
 
 _SLACK = 1e-9
+# Largest share of a tail integral that the rule's two end nodes may carry.  A
+# convergent tail with decay t^-p leaves them about 5 (p - 1) (5e-62)^(p - 1)
+# of it (5e-13 at p = 1.2, 5e-10 at p = 1.15), close to the relative error of
+# the sum; a divergent one most of it (0.59 for p = 0.8, 0.99 for p = 0).
+_END_SHARE = 1e-9
+# a safeguard: Newton on log k took 1 to 17 steps on 300 random levels for each
+# of eight (j, n) with n up to 40
+_NEWTON_STEPS = 100
+_EPS = np.finfo(float).eps
 
 
 class ReconstructionError(ValueError):
@@ -132,8 +148,55 @@ def from_max_regression(
     return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
 
 
+def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Fritsch & Carlson (1980) monotone piecewise cubic through (x, y).
+
+    Interior slopes are the weighted harmonic mean of the adjacent secants (0
+    where they differ in sign or vanish); the end slopes are the shape-limited
+    three-point estimates, and the end cubics extend the curve beyond the grid,
+    as scipy's ``PchipInterpolator(x, y, extrapolate=True)``.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+
+    def end_slope(h0, h1, m0, m1):
+        d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        return 3.0 * m0 if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0) else d
+
+    if len(x) == 2:
+        d = np.array([m[0], m[0]])
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0) | (m[:-1] == 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+        d = np.concatenate(([end_slope(h[0], h[1], m[0], m[1])], inner, [end_slope(h[-1], h[-2], m[-1], m[-2])]))
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    cubic, quadratic = t / h, (m - d[:-1]) / h - t
+
+    def evaluate(v):
+        k = np.clip(np.searchsorted(x, v, side="right") - 1, 0, len(h) - 1)
+        s = v - x[k]
+        s2 = s * s
+        return y[k] + d[k] * s + quadratic[k] * s2 + cubic[k] * (s2 * s)
+
+    return evaluate
+
+
+def _gap_values(h: Callable, t: np.ndarray) -> np.ndarray:
+    """h on the array t.  A callable that takes only scalars is called once per
+    value, and a scalar returned for an array is broadcast."""
+    try:
+        values = h(t)
+    except (TypeError, ValueError):
+        return np.array([h(float(v)) for v in t.ravel()], dtype=float).reshape(t.shape)
+    return np.broadcast_to(np.asarray(values, dtype=float), t.shape)
+
+
 def from_adjacent_regression(
-    h: Curve | Callable[[float], float],
+    h: Curve | Callable[[np.ndarray], np.ndarray],
     i: int,
     upper: float,
     grid=None,
@@ -147,6 +210,14 @@ def from_adjacent_regression(
                                    + (1/(i-1)) * int_x^upper h^(-i/(i-1)) ]
 
     with the first denominator term dropped when h diverges at the endpoint.
+    A callable h is called on arrays of points (one value at a time if it
+    takes only scalars).  A tabulated gap is extended beyond its grid by the
+    end cubic of its monotone interpolant, so with an infinite ``upper`` the
+    result is only as good as that extension: the exponential parent, gap
+    tabulated by :func:`ovstat.regression.mean_adjacent` on 401 levels, comes
+    back with a largest cdf error of 0.07 for i = 2 and 0.16 for i = 3.  A
+    tail integral that diverges, or that the rule does not resolve, raises
+    :class:`ReconstructionError`.
     """
     if i < 2:
         raise ValueError("the adjacent-gap route needs i >= 2")
@@ -155,49 +226,86 @@ def from_adjacent_regression(
             grid = h.grid
         if np.any(h.values <= 0.0):
             raise ReconstructionError("gap curve must be positive")
-        h_fn = PchipInterpolator(h.grid, h.values, extrapolate=True)
+        h_fn = _monotone_cubic(h.grid, h.values)
     else:
         if grid is None:
             raise ValueError("grid required when the gap is given as a callable")
         h_fn = h
     grid = np.asarray(grid, dtype=float)
+    if not (np.all(np.diff(grid) > 0) and grid[-1] <= upper):
+        raise ValueError("grid must be strictly increasing and end at or below upper")
     e1 = 1.0 / (i - 1)
     e2 = i / (i - 1)
 
     if math.isinf(upper):
         recip_end = 0.0  # the gap integral h(b-) = int F^i diverges on an unbounded side
+        # t = a + z / (1 - z) maps (0, 1) onto (a, inf), with dt = dz / (1 - z)^2
+        tail_nodes, tail_scale = grid[-1] + _X / _C, 1.0 / _C**2
     else:
         try:
             h_end = float(h_fn(upper))
-        except Exception:
+        except (ArithmeticError, ValueError):
             h_end = math.inf
         recip_end = 0.0 if not math.isfinite(h_end) or h_end <= 0 else h_end ** (-e1)
+        tail_nodes, tail_scale = grid[-1] + (upper - grid[-1]) * _X, upper - grid[-1]
 
-    def integrand(t: float) -> float:
-        v = float(h_fn(t))
-        if v <= 0.0:
-            raise ReconstructionError("gap curve must be positive below the upper endpoint")
-        return v ** (-e2)
-
-    f = np.empty_like(grid)
-    with warnings.catch_warnings():
-        # divergence shows up as non-finite or runaway values, checked below
-        warnings.simplefilter("ignore", IntegrationWarning)
-        tail, _ = quad(integrand, grid[-1], upper, limit=400)
-        if not math.isfinite(tail):
-            raise ReconstructionError("tail integral of the gap curve diverges")
-        for pos in range(len(grid) - 1, -1, -1):
-            x = grid[pos]
-            if pos < len(grid) - 1:
-                piece, _ = quad(integrand, x, grid[pos + 1], limit=400)
-                tail += piece
-            hv = float(h_fn(x))
-            if hv <= 0.0:
-                raise ReconstructionError("gap curve must be positive")
-            f[pos] = hv ** (-e1) / (recip_end + e1 * tail)
+    # one row of rule nodes per grid panel, and the tail beyond the grid last
+    nodes = np.vstack((grid[:-1, None] + np.diff(grid)[:, None] * _X, tail_nodes))
+    gap, gap_nodes = _gap_values(h_fn, grid), _gap_values(h_fn, nodes)
+    if np.any(gap <= 0.0) or np.any(gap_nodes <= 0.0):
+        raise ReconstructionError("gap curve must be positive below the upper endpoint")
+    integrand = gap_nodes ** (-e2)
+    panels = integrand[:-1] @ _W * np.diff(grid)
+    terms = _W * integrand[-1] * tail_scale
+    tail = terms.sum()
+    if not terms[0] + terms[-1] <= _END_SHARE * tail:
+        raise ReconstructionError(
+            "tail integral of the gap curve diverges or is not resolved: the rule's "
+            f"end nodes carry {(terms[0] + terms[-1]) / tail:.3g} of it"
+        )
+    # int_x^upper for every grid point, summed from the right
+    tails = np.cumsum(np.concatenate(([tail], panels[::-1])))[::-1]
+    f = gap ** (-e1) / (recip_end + e1 * tails)
     if not np.all(np.isfinite(f)):
         raise ReconstructionError("reconstruction produced non-finite cdf values")
     return _finish(grid, f, gauge="none", extra={"upper_gap_reciprocal": recip_end})
+
+
+def _kernel_roots(target: np.ndarray, j: int, n: int, rising: np.ndarray, kmax: float) -> np.ndarray:
+    """t with k(t) = C(n-1, j-1) t^(j-1) (1-t)^(n-j) = target <= kmax, on the
+    rising branch (t <= (j-1)/(n-1)) where ``rising`` holds and on the falling
+    one elsewhere.
+
+    Newton steps on log k, which is concave, so that they converge on either
+    branch; they start from the quadratic about the apex, and bisection
+    replaces any step that leaves the closed bracket of its branch.  A target
+    within the rounding of k (about n ulps) counts as met, which is all that
+    can be asked where k is flat, near the apex.  Stops once no root moves by
+    more than 1e-14.
+    """
+    coeff = binom(n - 1, j - 1)
+    tstar = (j - 1) / (n - 1)
+    lo = np.where(rising, 0.0, tstar)
+    hi = np.where(rising, tstar, 1.0)
+    # k ~ kmax (1 - s (t - t*)^2 / 2) near the apex, with s = -k''(t*) / kmax
+    s = (j - 1) / tstar**2 + (n - j) / (1.0 - tstar) ** 2
+    offset = np.sqrt(2.0 * (1.0 - target / kmax) / s)
+    t = np.clip(np.where(rising, tstar - offset, tstar + offset), lo, hi)
+    for _ in range(_NEWTON_STEPS):
+        k = coeff * t ** (j - 1) * (1.0 - t) ** (n - j)
+        above = (k < target) == rising  # the root lies above t
+        lo, hi = np.where(above, t, lo), np.where(above, hi, t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_ratio = np.log(k / target)
+            step = log_ratio / ((j - 1) / t - (n - j) / (1.0 - t))
+        step[(np.abs(log_ratio) <= n * _EPS) | (target >= kmax)] = 0.0
+        new = t - step
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        moved = np.max(np.abs(new - t))
+        t = new
+        if moved <= 1e-14:
+            break
+    return t
 
 
 def from_single_regression_slope(slope: Curve, j: int, n: int) -> ReconstructionResult:
@@ -226,15 +334,8 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
     if np.any(hp > kmax * (1.0 + 1e-9)):
         raise ReconstructionError("slope exceeds the maximum of the rank kernel")
     hp = np.minimum(hp, kmax)
-
-    def kern(t: float) -> float:
-        return coeff * t ** (j - 1) * (1.0 - t) ** (n - j)
-
     peak = int(np.argmax(hp))
-    f = np.empty_like(hp)
-    for pos, target in enumerate(hp):
-        lo, hi = (0.0, tstar) if pos <= peak else (tstar, 1.0)
-        f[pos] = brentq(lambda t: kern(t) - target, lo, hi, xtol=1e-13)
+    f = _kernel_roots(hp, j, n, np.arange(len(hp)) <= peak, kmax)
     if np.any(np.diff(f) < -_SLACK):
         raise ReconstructionError("no monotone branch matches the supplied slope")
     return _finish(

@@ -9,9 +9,10 @@ weighted by the exact rank-pair probabilities and by cdf-dependent factors.
 The single-sample conditional means reduce to integrals of the parent
 quantile function against polynomial kernels (the conditional law of one os
 given another is that of an os from a truncated parent), so everything is
-evaluated in quantile coordinates by one vectorised tanh-sinh rule on (0, 1):
-289 nodes, levels exact at the left end and capped at 1 - 2^-53 on the right;
-a conditioning level F(y) that has reached the cap is refused wherever the
+evaluated in quantile coordinates by one vectorised tanh-sinh rule on (0, 1)
+(:mod:`ovstat._tanh_sinh`, shared with the reconstruction routes): 289
+nodes, levels exact at the left end and capped at 1 - 2^-53 on the right; a
+conditioning level F(y) that has reached the cap is refused wherever the
 levels above it carry weight.  A mixture sums its kernels on the nodes first,
 so a point costs one quantile evaluation on each side of the conditioning
 level.  The second curve is the first one of the swapped geometry
@@ -31,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._tanh_sinh import C as _C, W as _W, X as _X
 from .combinatorics import binom
 from .overlap import OverlapSpec, cached_table
 from .parent import ParentModel
@@ -47,14 +49,6 @@ __all__ = [
     "mean_given_single",
 ]
 
-# Tanh-sinh rule on (0, 1) (Takahasi & Mori 1974): x = 1 / (1 + exp(-pi sinh t))
-# at t = k/32, |t| <= 4.5, 289 nodes reaching 5e-62 from each end.  The
-# complements c = 1 - x are tabulated from the same exponential, so kernels in
-# (1 - z) keep full relative accuracy near z = 1.
-_T = np.arange(-144, 145) / 32.0
-_X = 1.0 / (1.0 + np.exp(-np.pi * np.sinh(_T)))
-_C = 1.0 / (1.0 + np.exp(np.pi * np.sinh(_T)))
-_W = np.pi / 32.0 * np.cosh(_T) * _X * _C
 # the floor only replaces levels F(y) * x that underflowed to 0, where Q may be
 # infinite; the cap keeps F + (1 - F) x from rounding to 1
 _U_RANGE = (np.finfo(float).smallest_subnormal, 1.0 - 2.0**-53)

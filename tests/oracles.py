@@ -5,7 +5,10 @@ route: counting over all permutations, or mixing over the pooled rank
 directly.  The enumerations are exact but factorial in cost, so each refuses
 sizes above its budget.  The Monte Carlo oracles are the straightforward
 sort-per-row sampler and mask-based binning and rectangle counts, which the
-blocked kernels in ``ovstat.mc`` must reproduce bit for bit.
+blocked kernels in ``ovstat.mc`` must reproduce bit for bit.  The
+reconstruction oracles are the scipy versions of the adjacent-gap route
+(``quad`` per grid panel on a ``PchipInterpolator``) and of the single-draw
+slope route (``brentq`` per point).
 """
 
 from __future__ import annotations
@@ -13,15 +16,22 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import warnings
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
+from scipy.interpolate import PchipInterpolator
+from scipy.optimize import brentq
 
-from ovstat.combinatorics import CountParams
+from ovstat.combinatorics import CountParams, binom
+from ovstat.curve import Curve
 from ovstat.mc import BinnedMeans, PairSample, _chunk_ranges
 from ovstat.density import NuDensity, _assemble
 from ovstat.overlap import OverlapSpec, ProbabilityTable, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel
+from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _finish
 
 MAX_BRUTEFORCE_LENGTH = 10
 MAX_ORACLE_POOLED = 9
@@ -243,4 +253,117 @@ def rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_levels, y_levels) -> n
     """Empirical P(X <= x0, Y <= y0) on a grid, one mask per rectangle."""
     return np.array(
         [[float(np.mean((x <= x0) & (y <= y0))) for y0 in y_levels] for x0 in x_levels]
+    )
+
+
+def from_adjacent_regression(
+    h: Curve | Callable[[float], float],
+    i: int,
+    upper: float,
+    grid=None,
+) -> ReconstructionResult:
+    """Parent cdf from E(i-th os after one extra draw | i-th os = x) = x - h(x).
+
+    Needs i >= 2 and the gap h positive up to the upper support endpoint
+    ``upper`` (may be +inf).  The cdf is
+
+        F(x) = h(x)^(-1/(i-1)) / [ h(upper-)^(-1/(i-1))
+                                   + (1/(i-1)) * int_x^upper h^(-i/(i-1)) ]
+
+    with the first denominator term dropped when h diverges at the endpoint.
+    """
+    if i < 2:
+        raise ValueError("the adjacent-gap route needs i >= 2")
+    if isinstance(h, Curve):
+        if grid is None:
+            grid = h.grid
+        if np.any(h.values <= 0.0):
+            raise ReconstructionError("gap curve must be positive")
+        h_fn = PchipInterpolator(h.grid, h.values, extrapolate=True)
+    else:
+        if grid is None:
+            raise ValueError("grid required when the gap is given as a callable")
+        h_fn = h
+    grid = np.asarray(grid, dtype=float)
+    e1 = 1.0 / (i - 1)
+    e2 = i / (i - 1)
+
+    if math.isinf(upper):
+        recip_end = 0.0  # the gap integral h(b-) = int F^i diverges on an unbounded side
+    else:
+        try:
+            h_end = float(h_fn(upper))
+        except Exception:
+            h_end = math.inf
+        recip_end = 0.0 if not math.isfinite(h_end) or h_end <= 0 else h_end ** (-e1)
+
+    def integrand(t: float) -> float:
+        v = float(h_fn(t))
+        if v <= 0.0:
+            raise ReconstructionError("gap curve must be positive below the upper endpoint")
+        return v ** (-e2)
+
+    f = np.empty_like(grid)
+    with warnings.catch_warnings():
+        # divergence shows up as non-finite or runaway values, checked below
+        warnings.simplefilter("ignore", IntegrationWarning)
+        tail, _ = quad(integrand, grid[-1], upper, limit=400)
+        if not math.isfinite(tail):
+            raise ReconstructionError("tail integral of the gap curve diverges")
+        for pos in range(len(grid) - 1, -1, -1):
+            x = grid[pos]
+            if pos < len(grid) - 1:
+                piece, _ = quad(integrand, x, grid[pos + 1], limit=400)
+                tail += piece
+            hv = float(h_fn(x))
+            if hv <= 0.0:
+                raise ReconstructionError("gap curve must be positive")
+            f[pos] = hv ** (-e1) / (recip_end + e1 * tail)
+    if not np.all(np.isfinite(f)):
+        raise ReconstructionError("reconstruction produced non-finite cdf values")
+    return _finish(grid, f, gauge="none", extra={"upper_gap_reciprocal": recip_end})
+
+
+def from_single_regression_slope(slope: Curve, j: int, n: int) -> ReconstructionResult:
+    """Parent cdf from the slope of h(x) = E(j-th os of n draws | one draw = x).
+
+    The slope equals C(n-1, j-1) F^(j-1) (1-F)^(n-j).  For 1 < j < n the
+    kernel is unimodal in F, so the pointwise inversion picks the rising
+    branch up to the slope maximum and the falling branch afterwards; the
+    result must come out nondecreasing or the input is rejected.
+    """
+    if not 1 <= j <= n or n < 2:
+        raise ValueError("need n >= 2 and 1 <= j <= n")
+    hp = slope.values.astype(float)
+    if np.any(hp <= 0.0):
+        raise ReconstructionError("slope of the regression must be positive on the support")
+    coeff = binom(n - 1, j - 1)
+    if j == 1:
+        f = 1.0 - (np.minimum(hp / coeff, 1.0)) ** (1.0 / (n - 1))
+        return _finish(slope.grid, f, gauge="none")
+    if j == n:
+        f = (np.minimum(hp / coeff, 1.0)) ** (1.0 / (n - 1))
+        return _finish(slope.grid, f, gauge="none")
+
+    tstar = (j - 1) / (n - 1)
+    kmax = coeff * tstar ** (j - 1) * (1.0 - tstar) ** (n - j)
+    if np.any(hp > kmax * (1.0 + 1e-9)):
+        raise ReconstructionError("slope exceeds the maximum of the rank kernel")
+    hp = np.minimum(hp, kmax)
+
+    def kern(t: float) -> float:
+        return coeff * t ** (j - 1) * (1.0 - t) ** (n - j)
+
+    peak = int(np.argmax(hp))
+    f = np.empty_like(hp)
+    for pos, target in enumerate(hp):
+        lo, hi = (0.0, tstar) if pos <= peak else (tstar, 1.0)
+        f[pos] = brentq(lambda t: kern(t) - target, lo, hi, xtol=1e-13)
+    if np.any(np.diff(f) < -_SLACK):
+        raise ReconstructionError("no monotone branch matches the supplied slope")
+    return _finish(
+        slope.grid,
+        np.maximum.accumulate(f),
+        gauge="none",
+        extra={"branch_switch_index": peak, "kernel_max": float(kmax)},
     )

@@ -1,8 +1,18 @@
 
+import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from ovstat import parent
+import oracles
+from ovstat import parent, reconstruct
+from ovstat.combinatorics import binom
 from ovstat.curve import Curve
 from ovstat.reconstruct import (
     ReconstructionError,
@@ -106,6 +116,127 @@ def test_adjacent_route_negative_exponential_example():
     assert res.max_abs_error_against(lambda t: np.exp(lam * t)) < 1e-10
 
 
+def test_adjacent_route_refuses_divergent_tail():
+    # int_1^inf h^-2 diverges for h = 1 and for h = (1+t)^0.4; scipy's quad
+    # returned -1.0 and -5.74, which gave a ZeroDivisionError and a cdf of 0
+    grid = np.linspace(0.0, 1.0, 5)
+    for gap in (lambda t: 1.0 + 0 * t, lambda t: (1 + t) ** 0.4):
+        with pytest.raises(ReconstructionError, match="diverges"):
+            from_adjacent_regression(gap, 2, upper=math.inf, grid=grid)
+
+
+def _exponential_gap(t):
+    # h(x) = int_0^x F^2 / F(x) for the standard exponential parent and i = 2
+    F = -np.expm1(-t)
+    return (t - 2 * F - np.expm1(-2 * t) / 2) / F
+
+
+CLOSED_FORM_GAPS = [  # (gap, i, upper, grid): the three closed-form examples above
+    (lambda t: t**3 / 5, 2, 1.0, np.linspace(0.02, 0.99, 120)),
+    (lambda t: 1.0 / (0.8 * 2) + 0.0 * t, 3, 0.0, np.linspace(-25.0, -0.05, 200)),
+    (lambda t: np.exp(1.3 * t) / (2 * 1.3), 2, 0.0, np.linspace(-14.0, -0.02, 200)),
+]
+
+
+@pytest.mark.parametrize("gap, i, upper, grid", CLOSED_FORM_GAPS)
+def test_adjacent_route_matches_quad_oracle(gap, i, upper, grid):
+    new = from_adjacent_regression(gap, i, upper=upper, grid=grid).cdf.values
+    old = oracles.from_adjacent_regression(gap, i, upper=upper, grid=grid).cdf.values
+    assert np.max(np.abs(new - old)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", [np.linspace(0.5, 6.0, 100), np.linspace(0.05, 12.0, 300)])
+def test_adjacent_route_infinite_upper(grid):
+    new = from_adjacent_regression(_exponential_gap, 2, upper=math.inf, grid=grid).cdf.values
+    old = oracles.from_adjacent_regression(_exponential_gap, 2, upper=math.inf, grid=grid).cdf.values
+    assert np.max(np.abs(new + np.expm1(-grid))) <= 1e-14
+    # quad's own error on the first grid is 1.3e-11
+    assert np.max(np.abs(new - old)) <= 1e-10
+
+
+def test_adjacent_route_scalar_callables():
+    lam, i = 1.3, 2
+    x = np.linspace(-14.0, -0.02, 200)
+
+    def scalar_only(t):
+        return math.exp(lam * t) / (i * lam)
+
+    res = from_adjacent_regression(scalar_only, i, upper=0.0, grid=x)
+    per_value = from_adjacent_regression(np.frompyfunc(scalar_only, 1, 1), i, upper=0.0, grid=x)
+    assert np.array_equal(res.cdf.values, per_value.cdf.values)
+    assert res.max_abs_error_against(lambda t: np.exp(lam * t)) < 1e-10
+    # a Python float returned for an array is the constant gap
+    A, i = 0.8, 3
+    x = np.linspace(-25.0, -0.05, 200)
+    constant = from_adjacent_regression(lambda t: 1.0 / (A * (i - 1)), i, upper=0.0, grid=x)
+    broadcast = from_adjacent_regression(lambda t: 1.0 / (A * (i - 1)) + 0.0 * t, i, upper=0.0, grid=x)
+    assert np.array_equal(constant.cdf.values, broadcast.cdf.values)
+
+
+def test_monotone_cubic_matches_pchip():
+    rng = np.random.default_rng(6)
+    for size in [2, 3, 4, 7, 40, 300]:
+        for _ in range(20):
+            x = np.cumsum(rng.uniform(0.01, 2.0, size)) - 3.0
+            steps = rng.uniform(0.0, 1.0, size) * (rng.uniform(size=size) > 0.2)  # with flat runs
+            y = rng.choice([-1.0, 1.0]) * np.cumsum(steps)
+            span = x[-1] - x[0]
+            at = np.concatenate((x, rng.uniform(x[0] - span, x[-1] + span, 500)))
+            want = PchipInterpolator(x, y, extrapolate=True)(at)
+            assert np.max(np.abs(reconstruct._monotone_cubic(x, y)(at) - want)) <= 1e-14
+
+
+@pytest.mark.parametrize("j, n", [(2, 3), (2, 5), (3, 5), (4, 5), (3, 7), (5, 9)])
+def test_single_slope_matches_brentq_oracle(j, n):
+    tstar = (j - 1) / (n - 1)
+    # both branches, away from the flat top where the root is ill-conditioned
+    F = np.concatenate((np.linspace(0.01, tstar - 0.05, 60), [tstar], np.linspace(tstar + 0.05, 0.99, 60)))
+    slope = Curve(np.arange(len(F), dtype=float), binom(n - 1, j - 1) * F ** (j - 1) * (1 - F) ** (n - j))
+    new = from_single_regression_slope(slope, j, n)
+    old = oracles.from_single_regression_slope(slope, j, n)
+    for key in ("branch_switch_index", "kernel_max", "monotone"):
+        assert new.diagnostics[key] == old.diagnostics[key]
+    assert np.max(np.abs(new.cdf.values - old.cdf.values)) <= 1e-13
+    assert np.max(np.abs(new.cdf.values - F)) <= 1e-13
+
+
+def test_library_runs_without_scipy(tmp_path):
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class BlockScipy:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] == "scipy":
+                    raise ImportError("scipy is blocked")
+
+        sys.meta_path.insert(0, BlockScipy())
+        import numpy as np
+        import ovstat
+        import ovstat.cli
+
+        x = np.linspace(0.05, 0.95, 41)
+        curve = ovstat.Curve(x, x)
+        ovstat.from_min_regression(curve, 3, 1, derivative=(1 - x) ** 2)
+        ovstat.from_max_regression(curve, 3, 1, derivative=x**2)
+        ovstat.from_adjacent_regression(ovstat.Curve(x, x**3 / 5), 2, upper=1.0)
+        ovstat.from_single_regression_slope(ovstat.Curve(x, 2 * x * (1 - x)), 2, 3)
+        with open("curve.csv", "w") as handle:
+            handle.write("x,value,derivative\\n")
+            handle.writelines(f"{v!r},{v!r},{(1 - v) ** 2!r}\\n" for v in x.tolist())
+        code = ovstat.cli.main(["reconstruct", "--route", "min", "--input", "curve.csv",
+                                "--n", "3", "--m", "1", "--out", "cdf.csv"])
+        assert code == 0, code
+        assert "scipy" not in sys.modules
+        """
+    )
+    src = str(Path(reconstruct.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "cdf.csv").is_file()
+
+
 def test_adjacent_route_validation():
     with pytest.raises(ValueError):
         from_adjacent_regression(lambda t: 1.0, 1, upper=1.0, grid=np.linspace(0.1, 0.9, 5))
@@ -115,6 +246,10 @@ def test_adjacent_route_validation():
         )
     with pytest.raises(ValueError):
         from_adjacent_regression(lambda t: 1.0, 2, upper=1.0)  # callable needs a grid
+    with pytest.raises(ValueError):
+        from_adjacent_regression(lambda t: 1.0, 2, upper=0.5, grid=np.linspace(0.1, 0.9, 5))  # past upper
+    with pytest.raises(ValueError):
+        from_adjacent_regression(lambda t: 1.0, 2, upper=1.0, grid=[0.1, 0.3, 0.2])  # not increasing
 
 
 def test_adjacent_route_from_tabulated_curve():
