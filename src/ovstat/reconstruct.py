@@ -19,13 +19,19 @@ callers may pass exact derivatives when they have them.
 
 The adjacent route integrates every grid panel at once with the tanh-sinh rule
 of :mod:`ovstat._tanh_sinh` and sums the panels from the right.  An infinite
-upper end is mapped onto (0, 1) by t = a + z/(1 - z) (Takahasi & Mori 1974),
-and a tail whose two end nodes carry more than ``_END_SHARE`` = 1e-9 of the
-sum is refused as divergent or unresolved: they carry below 1e-12 of a tail
-decaying like t^-1.2 or faster, and more than half of a divergent one.  A
-tabulated gap is interpolated by the monotone cubic of Fritsch & Carlson
-(SIAM J. Numer. Anal. 17, 1980).  The single-draw route inverts the rank
-kernel on both monotone branches at once by safeguarded Newton steps.
+upper end is mapped onto (0, 1) by t = a + z/(1 - z) (Takahasi & Mori 1974).
+Towards a finite one the nodes are placed by the tabulated complements and
+stop 1024 ulps short of it, so that none rounds onto it.  Past the last node
+the tail integrand is taken to follow the power of 1 - z seen at the last two
+nodes: it is extended so over the rest of the rule, and the piece beyond the
+rule's last node is added, less half the last term (Euler-Maclaurin).  A tail
+is refused as divergent or unresolved when that power says it diverges or when
+the rule's two end nodes carry more than ``_END_SHARE`` = 1e-3 of its sum:
+they carry 0.03 or more of a tail decaying like t^-1 or slower, and below 1e-3
+of one decaying like t^-1.04 or faster.  A tabulated gap is interpolated by
+the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980).  The
+single-draw route inverts the rank kernel on both monotone branches at once
+by bisection.
 """
 
 from __future__ import annotations
@@ -54,14 +60,12 @@ __all__ = [
 
 _SLACK = 1e-9
 # Largest share of a tail integral that the rule's two end nodes may carry.  A
-# convergent tail with decay t^-p leaves them about 5 (p - 1) (5e-62)^(p - 1)
-# of it (5e-13 at p = 1.2, 5e-10 at p = 1.15), close to the relative error of
-# the sum; a divergent one most of it (0.59 for p = 0.8, 0.99 for p = 0).
-_END_SHARE = 1e-9
-# a safeguard: Newton on log k took 1 to 17 steps on 300 random levels for each
-# of eight (j, n) with n up to 40
-_NEWTON_STEPS = 100
-_EPS = np.finfo(float).eps
+# divergent tail leaves them 0.03 or more (0.031 for t^-1, 0.59 for t^-0.8); a
+# convergent one decaying like t^-p leaves about 5 (p - 1) (5e-62)^(p - 1), which
+# is below 1e-3 from p = 1.04 on (1.5e-9 for p = 8/7, 1e-60 for p = 2).
+_END_SHARE = 1e-3
+# halvings of a branch bracket of width <= 1, down to below 3e-17
+_HALVINGS = 55
 
 
 class ReconstructionError(ValueError):
@@ -195,6 +199,37 @@ def _gap_values(h: Callable, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), t.shape)
 
 
+def _tail_integral(in_z: np.ndarray) -> tuple[float, float]:
+    """Integral over (0, 1) of a function of z given at the first len(in_z)
+    nodes of the rule, and the share of the rule's sum on its two end nodes.
+
+    Past the last given node the function is taken to go like (1 - z)^(r - 1),
+    with r from the last two: it is extended so over the rest of the rule's
+    nodes, and the piece past the rule's last node is added, less the half of
+    the last term that the sum already counts past it (Euler-Maclaurin).  A
+    share above ``_END_SHARE``, or r <= 0, is refused as divergent or
+    unresolved.
+    """
+    given = len(in_z)
+    if given < 2:
+        return 0.0, 0.0  # a grid ending within 1024 ulps of a finite upper
+    r = math.inf  # nothing is left past a node where the function underflows
+    if in_z[-1] > 0:
+        with np.errstate(divide="ignore"):
+            r = 1.0 + np.log(in_z[-1] / in_z[-2]) / np.log(_C[given - 1] / _C[given - 2])
+    with np.errstate(over="ignore"):
+        in_z = np.concatenate((in_z, in_z[-1] * (_C[given:] / _C[given - 1]) ** (r - 1)))
+    terms = _W * in_z
+    total = terms.sum()
+    share = (terms[0] + terms[-1]) / total
+    if not (np.isfinite(total) and share <= _END_SHARE and r > 0):
+        raise ReconstructionError(
+            "tail integral of the gap curve diverges or is not resolved: the rule's "
+            f"end nodes carry {share:.3g} of it"
+        )
+    return total + in_z[-1] * _C[-1] / r - terms[-1] / 2, float(share)
+
+
 def from_adjacent_regression(
     h: Curve | Callable[[np.ndarray], np.ndarray],
     i: int,
@@ -217,7 +252,8 @@ def from_adjacent_regression(
     tabulated by :func:`ovstat.regression.mean_adjacent` on 401 levels, comes
     back with a largest cdf error of 0.07 for i = 2 and 0.16 for i = 3.  A
     tail integral that diverges, or that the rule does not resolve, raises
-    :class:`ReconstructionError`.
+    :class:`ReconstructionError`; the diagnostics report the share of the
+    tail that the rule's end nodes carry (``tail_end_share``).
     """
     if i < 2:
         raise ValueError("the adjacent-gap route needs i >= 2")
@@ -243,69 +279,50 @@ def from_adjacent_regression(
         tail_nodes, tail_scale = grid[-1] + _X / _C, 1.0 / _C**2
     else:
         try:
-            h_end = float(h_fn(upper))
+            with np.errstate(all="ignore"):  # a gap may diverge at upper
+                h_end = float(h_fn(upper))
         except (ArithmeticError, ValueError):
             h_end = math.inf
         recip_end = 0.0 if not math.isfinite(h_end) or h_end <= 0 else h_end ** (-e1)
-        tail_nodes, tail_scale = grid[-1] + (upper - grid[-1]) * _X, upper - grid[-1]
+        # placed from upper by the complements, up to the last node at least 1024
+        # ulps below upper, which rounding moves by under 1e-3 of its distance
+        distance = (upper - grid[-1]) * _C
+        tail_nodes = (upper - distance)[distance >= 1024 * np.spacing(abs(upper))]
+        tail_scale = upper - grid[-1]
 
-    # one row of rule nodes per grid panel, and the tail beyond the grid last
-    nodes = np.vstack((grid[:-1, None] + np.diff(grid)[:, None] * _X, tail_nodes))
-    gap, gap_nodes = _gap_values(h_fn, grid), _gap_values(h_fn, nodes)
-    if np.any(gap <= 0.0) or np.any(gap_nodes <= 0.0):
+    # every grid point, the rule's nodes on every grid panel, and the tail beyond the grid
+    inner = grid[:-1, None] + np.diff(grid)[:, None] * _X
+    values = _gap_values(h_fn, np.concatenate((grid, inner.ravel(), tail_nodes)))
+    if not np.all(values > 0.0):
         raise ReconstructionError("gap curve must be positive below the upper endpoint")
-    integrand = gap_nodes ** (-e2)
-    panels = integrand[:-1] @ _W * np.diff(grid)
-    terms = _W * integrand[-1] * tail_scale
-    tail = terms.sum()
-    if not terms[0] + terms[-1] <= _END_SHARE * tail:
-        raise ReconstructionError(
-            "tail integral of the gap curve diverges or is not resolved: the rule's "
-            f"end nodes carry {(terms[0] + terms[-1]) / tail:.3g} of it"
-        )
+    gap, integrand = values[: len(grid)], values[len(grid) :] ** (-e2)
+    panels = integrand[: inner.size].reshape(inner.shape) @ _W * np.diff(grid)
+    tail, share = _tail_integral(integrand[inner.size :] * tail_scale)
     # int_x^upper for every grid point, summed from the right
     tails = np.cumsum(np.concatenate(([tail], panels[::-1])))[::-1]
     f = gap ** (-e1) / (recip_end + e1 * tails)
     if not np.all(np.isfinite(f)):
         raise ReconstructionError("reconstruction produced non-finite cdf values")
-    return _finish(grid, f, gauge="none", extra={"upper_gap_reciprocal": recip_end})
+    extra = {"upper_gap_reciprocal": recip_end, "tail_end_share": share}
+    return _finish(grid, f, gauge="none", extra=extra)
 
 
 def _kernel_roots(target: np.ndarray, j: int, n: int, rising: np.ndarray, kmax: float) -> np.ndarray:
     """t with k(t) = C(n-1, j-1) t^(j-1) (1-t)^(n-j) = target <= kmax, on the
     rising branch (t <= (j-1)/(n-1)) where ``rising`` holds and on the falling
-    one elsewhere.
-
-    Newton steps on log k, which is concave, so that they converge on either
-    branch; they start from the quadratic about the apex, and bisection
-    replaces any step that leaves the closed bracket of its branch.  A target
-    within the rounding of k (about n ulps) counts as met, which is all that
-    can be asked where k is flat, near the apex.  Stops once no root moves by
-    more than 1e-14.
+    one elsewhere, by bisection of the branch; the top, target = kmax, is the
+    apex itself.
     """
     coeff = binom(n - 1, j - 1)
     tstar = (j - 1) / (n - 1)
     lo = np.where(rising, 0.0, tstar)
     hi = np.where(rising, tstar, 1.0)
-    # k ~ kmax (1 - s (t - t*)^2 / 2) near the apex, with s = -k''(t*) / kmax
-    s = (j - 1) / tstar**2 + (n - j) / (1.0 - tstar) ** 2
-    offset = np.sqrt(2.0 * (1.0 - target / kmax) / s)
-    t = np.clip(np.where(rising, tstar - offset, tstar + offset), lo, hi)
-    for _ in range(_NEWTON_STEPS):
+    for _ in range(_HALVINGS):
+        t = 0.5 * (lo + hi)
         k = coeff * t ** (j - 1) * (1.0 - t) ** (n - j)
         above = (k < target) == rising  # the root lies above t
         lo, hi = np.where(above, t, lo), np.where(above, hi, t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_ratio = np.log(k / target)
-            step = log_ratio / ((j - 1) / t - (n - j) / (1.0 - t))
-        step[(np.abs(log_ratio) <= n * _EPS) | (target >= kmax)] = 0.0
-        new = t - step
-        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        moved = np.max(np.abs(new - t))
-        t = new
-        if moved <= 1e-14:
-            break
-    return t
+    return np.where(target >= kmax, tstar, 0.5 * (lo + hi))
 
 
 def from_single_regression_slope(slope: Curve, j: int, n: int) -> ReconstructionResult:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,25 @@ def test_adjacent_route_refuses_divergent_tail():
             from_adjacent_regression(gap, 2, upper=math.inf, grid=grid)
 
 
+def test_adjacent_route_refuses_divergent_tail_at_finite_upper():
+    # int^1 (1 - t)^-2 and int^1 (1 - t)^-1 diverge; before, the rule put nodes
+    # on upper = 1 itself and refused h = 0 there as a non-positive gap
+    grid = np.linspace(0.0, 0.5, 5)
+    for gap in (lambda t: 1.0 - t, lambda t: np.sqrt(1.0 - t)):
+        with pytest.raises(ReconstructionError, match="diverges"):
+            from_adjacent_regression(gap, 2, upper=1.0, grid=grid)
+
+
+def test_adjacent_route_refuses_infinite_tail_with_finite_end_terms():
+    # a gap of 1e-200 inside the tail makes the sum infinite while both end
+    # terms stay finite, so their share of it is 0
+    def gap(t):
+        return np.where(np.abs(t - 3.0) < 1.0, 1e-200, (1.0 + t) ** 2)
+
+    with np.errstate(over="ignore"), pytest.raises(ReconstructionError, match="diverges"):
+        from_adjacent_regression(gap, 2, upper=math.inf, grid=np.linspace(0.0, 1.0, 5))
+
+
 def _exponential_gap(t):
     # h(x) = int_0^x F^2 / F(x) for the standard exponential parent and i = 2
     F = -np.expm1(-t)
@@ -152,6 +172,36 @@ def test_adjacent_route_infinite_upper(grid):
     assert np.max(np.abs(new + np.expm1(-grid))) <= 1e-14
     # quad's own error on the first grid is 1.3e-11
     assert np.max(np.abs(new - old)) <= 1e-10
+
+
+def _exponential_gap_of_order(i):
+    # h(x) = int_0^x F^i / F(x)^(i-1) = (x - sum_{k <= i} F(x)^k / k) / F(x)^(i-1)
+    # for the standard exponential parent
+    def gap(t):
+        F = -np.expm1(-t)
+        return (t - sum(F**k / k for k in range(1, i + 1))) / F ** (i - 1)
+
+    return gap
+
+
+@pytest.mark.parametrize("i, bound", [(8, 1e-9), (10, 1e-8), (20, 1e-5)])
+def test_adjacent_route_slowly_decaying_tail(i, bound):
+    # the gap grows like x, so the tail integrand decays like t^-(i/(i-1)); the
+    # rule's end nodes carry 1.5e-9 of the tail for i = 8 and 1.5e-4 for i = 20
+    grid = np.linspace(2.0, 12.0, 50)
+    res = from_adjacent_regression(_exponential_gap_of_order(i), i, upper=math.inf, grid=grid)
+    assert res.max_abs_error_against(lambda t: -np.expm1(-t)) <= bound
+
+
+def test_adjacent_route_gap_singular_at_finite_upper():
+    # h = c / sqrt(1 - t) gives F = 2c (1 - x)^-1.5 for i = 2; no rule node
+    # lands on upper = 1, where math.sqrt makes the gap raise and np.sqrt warn
+    x = np.linspace(0.1, 0.9, 9)
+    for sqrt in (math.sqrt, np.sqrt):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = from_adjacent_regression(lambda t: 0.01 / sqrt(1.0 - t), 2, upper=1.0, grid=x)
+        assert res.max_abs_error_against(lambda t: 0.02 * (1.0 - t) ** -1.5) <= 1e-14
 
 
 def test_adjacent_route_scalar_callables():
