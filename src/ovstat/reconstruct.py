@@ -199,20 +199,20 @@ def _gap_values(h: Callable, t: np.ndarray) -> np.ndarray:
     return np.broadcast_to(np.asarray(values, dtype=float), t.shape)
 
 
-def _tail_integral(in_z: np.ndarray) -> tuple[float, float]:
+def _tail_integral(in_z: np.ndarray) -> float:
     """Integral over (0, 1) of a function of z given at the first len(in_z)
-    nodes of the rule, and the share of the rule's sum on its two end nodes.
+    nodes of the rule.
 
     Past the last given node the function is taken to go like (1 - z)^(r - 1),
     with r from the last two: it is extended so over the rest of the rule's
     nodes, and the piece past the rule's last node is added, less the half of
-    the last term that the sum already counts past it (Euler-Maclaurin).  A
-    share above ``_END_SHARE``, or r <= 0, is refused as divergent or
-    unresolved.
+    the last term that the sum already counts past it (Euler-Maclaurin).  The
+    integral is refused as divergent or unresolved when r <= 0 or when the
+    rule's two end nodes carry more than ``_END_SHARE`` of its sum.
     """
     given = len(in_z)
     if given < 2:
-        return 0.0, 0.0  # a grid ending within 1024 ulps of a finite upper
+        return 0.0  # a grid ending within 1024 ulps of a finite upper
     r = math.inf  # nothing is left past a node where the function underflows
     if in_z[-1] > 0:
         with np.errstate(divide="ignore"):
@@ -227,7 +227,7 @@ def _tail_integral(in_z: np.ndarray) -> tuple[float, float]:
             "tail integral of the gap curve diverges or is not resolved: the rule's "
             f"end nodes carry {share:.3g} of it"
         )
-    return total + in_z[-1] * _C[-1] / r - terms[-1] / 2, float(share)
+    return total + in_z[-1] * _C[-1] / r - terms[-1] / 2
 
 
 def from_adjacent_regression(
@@ -252,8 +252,7 @@ def from_adjacent_regression(
     tabulated by :func:`ovstat.regression.mean_adjacent` on 401 levels, comes
     back with a largest cdf error of 0.07 for i = 2 and 0.16 for i = 3.  A
     tail integral that diverges, or that the rule does not resolve, raises
-    :class:`ReconstructionError`; the diagnostics report the share of the
-    tail that the rule's end nodes carry (``tail_end_share``).
+    :class:`ReconstructionError`.
     """
     if i < 2:
         raise ValueError("the adjacent-gap route needs i >= 2")
@@ -297,14 +296,13 @@ def from_adjacent_regression(
         raise ReconstructionError("gap curve must be positive below the upper endpoint")
     gap, integrand = values[: len(grid)], values[len(grid) :] ** (-e2)
     panels = integrand[: inner.size].reshape(inner.shape) @ _W * np.diff(grid)
-    tail, share = _tail_integral(integrand[inner.size :] * tail_scale)
+    tail = _tail_integral(integrand[inner.size :] * tail_scale)
     # int_x^upper for every grid point, summed from the right
     tails = np.cumsum(np.concatenate(([tail], panels[::-1])))[::-1]
     f = gap ** (-e1) / (recip_end + e1 * tails)
     if not np.all(np.isfinite(f)):
         raise ReconstructionError("reconstruction produced non-finite cdf values")
-    extra = {"upper_gap_reciprocal": recip_end, "tail_end_share": share}
-    return _finish(grid, f, gauge="none", extra=extra)
+    return _finish(grid, f, gauge="none", extra={"upper_gap_reciprocal": recip_end})
 
 
 def _kernel_roots(target: np.ndarray, j: int, n: int, rising: np.ndarray, kmax: float) -> np.ndarray:

@@ -124,25 +124,15 @@ def test_adjacent_route_refuses_divergent_tail():
     for gap in (lambda t: 1.0 + 0 * t, lambda t: (1 + t) ** 0.4):
         with pytest.raises(ReconstructionError, match="diverges"):
             from_adjacent_regression(gap, 2, upper=math.inf, grid=grid)
-
-
-def test_adjacent_route_refuses_divergent_tail_at_finite_upper():
-    # int^1 (1 - t)^-2 and int^1 (1 - t)^-1 diverge; before, the rule put nodes
-    # on upper = 1 itself and refused h = 0 there as a non-positive gap
-    grid = np.linspace(0.0, 0.5, 5)
-    for gap in (lambda t: 1.0 - t, lambda t: np.sqrt(1.0 - t)):
-        with pytest.raises(ReconstructionError, match="diverges"):
-            from_adjacent_regression(gap, 2, upper=1.0, grid=grid)
-
-
-def test_adjacent_route_refuses_infinite_tail_with_finite_end_terms():
-    # a gap of 1e-200 inside the tail makes the sum infinite while both end
-    # terms stay finite, so their share of it is 0
-    def gap(t):
-        return np.where(np.abs(t - 3.0) < 1.0, 1e-200, (1.0 + t) ** 2)
-
-    with np.errstate(over="ignore"), pytest.raises(ReconstructionError, match="diverges"):
-        from_adjacent_regression(gap, 2, upper=math.inf, grid=np.linspace(0.0, 1.0, 5))
+    # int^1 (1 - t)^-2 and int^1 (1 - t)^-1 diverge at a finite upper; a gap of
+    # 1e-200 inside the tail makes its sum infinite while both end terms stay finite
+    for gap, upper in [
+        (lambda t: 1.0 - t, 1.0),
+        (lambda t: np.sqrt(1.0 - t), 1.0),
+        (lambda t: np.where(np.abs(t - 3.0) < 1.0, 1e-200, (1.0 + t) ** 2), math.inf),
+    ]:
+        with np.errstate(over="ignore"), pytest.raises(ReconstructionError, match="diverges"):
+            from_adjacent_regression(gap, 2, upper=upper, grid=np.linspace(0.0, 0.5, 5))
 
 
 def _exponential_gap(t):
