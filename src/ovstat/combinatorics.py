@@ -8,6 +8,9 @@ first ``k`` positions and exactly ``j`` first-block items among the first
 ``k + ell`` positions.  These counts are the integer cores of the exact tie
 probabilities in :mod:`ovstat.overlap`.
 
+Its inner sum is a dot product of rows of one Pascal triangle built by
+addition (`block_hit_sum`), in `count_matching` and in every table cell.
+
 Everything in this module is exact integer arithmetic; no floats.
 """
 
@@ -15,12 +18,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import add, mul
+from typing import Callable
 
 __all__ = [
     "CountParams",
     "binom",
     "falling_factorial",
     "count_matching",
+    "pascal_rows",
+    "block_hit_sum",
 ]
 
 
@@ -77,25 +84,37 @@ class CountParams:
         )
 
 
+def pascal_rows(n: int) -> list[list[int]]:
+    """Rows 0..n of Pascal's triangle, built by addition: ``rows[a][b] = C(a, b)``."""
+    rows = [[1]]
+    for _ in range(n):
+        rows.append([1, *map(add, rows[-1], rows[-1][1:]), 1])
+    return rows
+
+
+def block_hit_sum(rows: list[list[int]], s: int, t: int, k: int, i: int, gap: int) -> Callable[[int], int]:
+    """j -> sum_m C(j, m) C(s, k-i-m) C(s+t+m-k, ell+m-j) for ell = j + gap; s, t, i >= 0.
+
+    The third binomial is C(s+t-k+m, d) with d = s+t-k-gap, so the weights of
+    C(j, m) are free of j; ``rows`` (`pascal_rows`) must reach row s+t-i.
+    """
+    d = s + t - k - gap
+    lo = max(0, -gap, k - i - s)
+    w = [rows[s][k - i - m] * rows[s + t - k + m][d] for m in range(lo, k - i + 1)] if d >= 0 else []
+    return lambda j: sum(map(mul, rows[j][lo:], w))
+
+
 def count_matching(p: CountParams) -> int:
     """Number of permutations satisfying the block-hit constraints of ``p``.
 
     Closed form: k! ell! (n-k-ell)! C(t,i) C(r,j) multiplied by a short sum
     of triple binomial products over the number of first-block items landing
-    inside the inner prefix.  Degenerate parameter combinations come out as 0
-    through the binomial zero convention.
+    inside the inner prefix (`block_hit_sum`).  Degenerate parameter
+    combinations come out as 0.
     """
-    r, s, t, k, ell, i, j = p.r, p.s, p.t, p.k, p.ell, p.i, p.j
-    if min(r, s, t, k, ell, i, j) < 0:
+    r, s, t, k, ell, i, j, n = p.r, p.s, p.t, p.k, p.ell, p.i, p.j, p.n
+    if min(r, s, t, k, ell, i, j) < 0 or k + ell > n or i > t or j > r:
         return 0
-    n = r + s + t
-    if k + ell > n:
-        return 0
-    head = binom(t, i) * binom(r, j)
-    if head == 0:
-        return 0
-    acc = 0
-    for m in range(max(0, j - ell), min(j, k - i) + 1):
-        acc += binom(j, m) * binom(s, k - i - m) * binom(s + t + m - k, ell + m - j)
-    return math.factorial(k) * math.factorial(ell) * math.factorial(n - k - ell) * head * acc
-
+    rows = pascal_rows(n)
+    acc = block_hit_sum(rows, s, t, k, i, ell - j)(j)
+    return math.factorial(k) * math.factorial(ell) * math.factorial(n - k - ell) * rows[t][i] * rows[r][j] * acc

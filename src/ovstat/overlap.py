@@ -12,8 +12,10 @@ statistic of the pooled sample, and
 is an exact rational number depending only on the integer geometry.  This
 module evaluates the closed-form expression for ``p(k, ell)`` (cases k < ell
 and k = ell built from the block-hit counts of :mod:`ovstat.combinatorics`,
-k > ell through :meth:`OverlapSpec.swapped`) and assembles tables over the
-support rectangle.
+k > ell through :meth:`OverlapSpec.swapped`) over the whole support rectangle
+in one pass: one Pascal triangle and factorial list for rows 0..N serve every
+cell, and along a row only the C(j', .) factor of each block-hit sum changes,
+so each cell is one dot product with weights formed once per row.
 
 All probabilities are `fractions.Fraction` values; nothing is rounded.
 """
@@ -21,13 +23,14 @@ All probabilities are `fractions.Fraction` values; nothing is rounded.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
-import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
-from .combinatorics import CountParams, binom, count_matching
+from .combinatorics import binom, block_hit_sum, pascal_rows
 
 __all__ = [
     "OverlapSpec",
@@ -120,28 +123,37 @@ def marginal_rank_probability(i: int, m: int, k: int, n: int) -> Fraction:
 def rank_match_probability(spec: OverlapSpec, k: int, ell: int) -> Fraction:
     """Exact P(first os has pooled rank k, second has pooled rank ell).
 
-    Case split on the relative position of the two pooled ranks; each case
-    is a ratio of block-hit permutation counts to (n+r)!, k > ell via the
-    swapped spec.  Zero outside the support rectangle i <= k <= i + n + r - m,
-    j <= ell <= j + r.
+    The cell of the shared table of ``spec`` (see `probability_table`); zero
+    outside the support rectangle i <= k <= i + n + r - m, j <= ell <= j + r.
     """
     if not (1 <= k <= spec.pooled_size and 1 <= ell <= spec.pooled_size):
         raise ValueError("ranks must lie in 1..n+r")
-    if k > ell:
-        return rank_match_probability(spec.swapped(), ell, k)
-    if k not in spec.k_support or ell not in spec.ell_support:
-        return Fraction(0)
+    return cached_table(spec)[(k, ell)]
+
+
+def _upper_half(spec: OverlapSpec, rows: list[list[int]], fact: list[int]) -> dict:
+    """N! p(k, ell) on the support cells with k <= ell.
+
+    With block sizes (a, b, c) and ``count`` = `count_matching`, N! p(k, k) =
+    b count(a, b-1, c; k-1, 0; k-i, k-j) and, for k < ell, N! p(k, ell) = (n-j+1)/(N-ell+1)
+    (a count(a-1, b, c; k-1, ell-k-1; k-i, ell-j-1) + b count(a, b-1, c; k-1, ell-k-1; k-i, ell-j)).
+    """
     a, b, c = spec.block_sizes
-    r, n, i, j = spec.r, spec.n, spec.i, spec.j
-    pooled_fact = math.factorial(spec.pooled_size)
-    if k == ell:
-        num = b * count_matching(CountParams(a, b - 1, c, k - 1, 0, k - i, k - j))
-        return Fraction(num, pooled_fact)
-    num = (n - j + 1) * (
-        a * count_matching(CountParams(a - 1, b, c, k - 1, ell - k - 1, k - i, ell - j - 1))
-        + b * count_matching(CountParams(a, b - 1, c, k - 1, ell - k - 1, k - i, ell - j))
-    )
-    return Fraction(num, (r + n - ell + 1) * pooled_fact)
+    i, j, N = spec.i, spec.j, spec.pooled_size
+    out = {}
+    for k in spec.k_support:
+        head = fact[k - 1] * rows[c][k - i]
+        if k in spec.ell_support:
+            diag = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k)(k - j)
+            out[(k, k)] = b * head * fact[N - k] * rows[a][k - j] * diag
+        sum_a = block_hit_sum(rows, b, c, k - 1, k - i, j - k)
+        sum_b = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k - 1)
+        for ell in range(max(k + 1, j), j + a + 1):
+            acc = b * rows[a][ell - j] * sum_b(ell - j)
+            if ell > j:
+                acc += a * rows[a - 1][ell - j - 1] * sum_a(ell - j - 1)
+            out[(k, ell)] = (spec.n - j + 1) * head * fact[ell - k - 1] * fact[N - ell] * acc
+    return out
 
 
 @dataclass(frozen=True)
@@ -214,9 +226,14 @@ def _decimal(p: Fraction, digits: int) -> str:
 
 
 def probability_table(spec: OverlapSpec) -> ProbabilityTable:
-    """A fresh table of the support rectangle; entries sum exactly to 1."""
+    """A fresh table of the support rectangle; entries sum exactly to 1.  The
+    k > ell half comes from the swapped spec; the triangle is dropped after."""
+    N = spec.pooled_size
+    rows = pascal_rows(N)
+    fact = list(itertools.accumulate(range(1, N + 1), mul, initial=1))
+    upper, lower = _upper_half(spec, rows, fact), _upper_half(spec.swapped(), rows, fact)
     entries = {
-        (k, ell): rank_match_probability(spec, k, ell)
+        (k, ell): Fraction(upper[(k, ell)] if k <= ell else lower[(ell, k)], fact[N])
         for k in spec.k_support
         for ell in spec.ell_support
     }

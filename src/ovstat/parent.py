@@ -381,7 +381,8 @@ def _diverges(decades: np.ndarray, lo: int = 6, hi: int = 11, threshold: float =
     if np.any(s <= 0):
         return False
     ratios = s[1:] / s[:-1]
-    return bool(np.median(ratios) > threshold)
+    # the middle ratio of an odd count; np.median would import numpy.ma
+    return bool(np.sort(ratios)[len(ratios) // 2] > threshold)
 
 
 def from_quantile_density(

@@ -328,8 +328,9 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
 
     The slope equals C(n-1, j-1) F^(j-1) (1-F)^(n-j).  For 1 < j < n the
     kernel is unimodal in F, so the pointwise inversion picks the rising
-    branch up to the slope maximum and the falling branch afterwards; the
-    result must come out nondecreasing or the input is rejected.
+    branch before the slope maximum and the falling branch after it (the
+    maximum itself too where the slope falls); the result must come out
+    nondecreasing or the input is rejected.
     """
     if not 1 <= j <= n or n < 2:
         raise ValueError("need n >= 2 and 1 <= j <= n")
@@ -350,7 +351,9 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
         raise ReconstructionError("slope exceeds the maximum of the rank kernel")
     hp = np.minimum(hp, kmax)
     peak = int(np.argmax(hp))
-    f = _kernel_roots(hp, j, n, np.arange(len(hp)) <= peak, kmax)
+    # h'' = k'(F) f, so the maximum lies past the apex where the slope falls
+    rising = np.arange(len(hp)) < peak + (np.gradient(hp, slope.grid)[peak] >= 0.0)
+    f = _kernel_roots(hp, j, n, rising, kmax)
     if np.any(np.diff(f) < -_SLACK):
         raise ReconstructionError("no monotone branch matches the supplied slope")
     return _finish(

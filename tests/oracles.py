@@ -1,8 +1,9 @@
 """Enumeration, direct-mixture and reference-kernel oracles for the test suite.
 
 Each oracle computes a quantity of the library by a second, independent
-route: counting over all permutations, or mixing over the pooled rank
-directly.  The enumerations are exact but factorial in cost, so each refuses
+route: counting over all permutations, mixing over the pooled rank
+directly, or the per-cell closed form with one ``math.comb`` per binomial
+that the one-pass table build replaces.  The enumerations are exact but factorial in cost, so each refuses
 sizes above its budget.  The Monte Carlo oracles are the straightforward
 sort-per-row sampler and mask-based binning and rectangle counts, which the
 blocked kernels in ``ovstat.mc`` must reproduce bit for bit.  The
@@ -81,6 +82,37 @@ def bruteforce_histogram(r: int, s: int, t: int, k: int, ell: int) -> dict[tuple
         key = (hits_last, hits_first)
         hist[key] = hist.get(key, 0) + 1
     return hist
+
+
+def count_matching_reference(p: CountParams) -> int:
+    """`ovstat.combinatorics.count_matching` term by term, one ``binom`` per factor."""
+    r, s, t, k, ell, i, j = p.r, p.s, p.t, p.k, p.ell, p.i, p.j
+    if min(r, s, t, k, ell, i, j) < 0 or k + ell > p.n:
+        return 0
+    acc = sum(
+        binom(j, m) * binom(s, k - i - m) * binom(s + t + m - k, ell + m - j)
+        for m in range(max(0, j - ell), min(j, k - i) + 1)
+    )
+    fact = math.factorial
+    return fact(k) * fact(ell) * fact(p.n - k - ell) * binom(t, i) * binom(r, j) * acc
+
+
+def rank_match_probability_reference(spec: OverlapSpec, k: int, ell: int) -> Fraction:
+    """p(k, ell) cell by cell from `count_matching_reference`; k > ell through the swapped spec."""
+    if k > ell:
+        return rank_match_probability_reference(spec.swapped(), ell, k)
+    if k not in spec.k_support or ell not in spec.ell_support:
+        return Fraction(0)
+    a, b, c = spec.block_sizes
+    N, n, i, j = spec.pooled_size, spec.n, spec.i, spec.j
+    count = count_matching_reference
+    if k == ell:
+        return Fraction(b * count(CountParams(a, b - 1, c, k - 1, 0, k - i, k - j)), math.factorial(N))
+    num = (n - j + 1) * (
+        a * count(CountParams(a - 1, b, c, k - 1, ell - k - 1, k - i, ell - j - 1))
+        + b * count(CountParams(a, b - 1, c, k - 1, ell - k - 1, k - i, ell - j))
+    )
+    return Fraction(num, (N - ell + 1) * math.factorial(N))
 
 
 def probability_table_bruteforce(spec: OverlapSpec) -> ProbabilityTable:

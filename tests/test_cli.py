@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -36,6 +37,14 @@ def test_probs_json_stdout(capsys):
     # row masses match the closed subsample-rank law C(k-1,0) C(3-k,1) / 3
     assert marg[1] == pytest.approx(2 / 3)
     assert marg[2] == pytest.approx(1 / 3)
+
+
+def test_probs_json_bytes_frozen(capsys):
+    # the N = 130 table of the benchmark, byte for byte as the per-cell formula wrote it
+    argv = ["probs", "--r", "40", "--m", "100", "--n", "90", "--i", "50", "--j", "45", "--format", "json"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "6167585fcdde4ceaf0b4781263a9c6a0bc08ab6c63bd8767c523ea856dadb85c"
 
 
 def test_probs_invalid_spec_exit_2(capsys):

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ovstat.combinatorics import CountParams, binom, count_matching, falling_factorial
+from ovstat.combinatorics import CountParams, binom, count_matching, falling_factorial, pascal_rows
 
-from oracles import bruteforce_histogram, count_matching_bruteforce
+from oracles import bruteforce_histogram, count_matching_bruteforce, count_matching_reference
 
 
 def test_binom_standard():
@@ -114,6 +114,30 @@ def test_total_mass_is_factorial(r, s, t, data):
         for j in range(r + 1)
     )
     assert total == math.factorial(n)
+
+
+@given(
+    r=st.integers(0, 12),
+    s=st.integers(0, 12),
+    t=st.integers(0, 12),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_count_matches_per_term_reference(r, s, t, data):
+    # beyond the enumeration budget, and with out-of-range hit counts and prefixes
+    n = r + s + t
+    k = data.draw(st.integers(-1, n + 1))
+    ell = data.draw(st.integers(-1, n + 1))
+    i = data.draw(st.integers(-1, t + 1))
+    j = data.draw(st.integers(-1, r + 1))
+    p = CountParams(r, s, t, k, ell, i, j)
+    assert count_matching(p) == count_matching_reference(p)
+
+
+def test_pascal_rows_are_binomials():
+    rows = pascal_rows(30)
+    assert len(rows) == 31
+    assert all(rows[a][b] == math.comb(a, b) for a in range(31) for b in range(a + 1))
 
 
 def test_binomial_absorption_identity():

@@ -14,7 +14,7 @@ from ovstat.overlap import (
     rank_match_probability,
 )
 
-from oracles import probability_table_bruteforce
+from oracles import probability_table_bruteforce, rank_match_probability_reference
 
 
 def test_spec_validation():
@@ -114,6 +114,31 @@ def test_oracle_equality_small():
         N = spec.pooled_size
         for cell in itertools.product(range(1, N + 1), repeat=2):
             assert exact[cell] == oracle[cell], (spec, cell)
+
+
+def _every_small_spec():
+    # every geometry with r <= 3 and m, n <= 6
+    return [
+        OverlapSpec(r, m, n, i, j)
+        for r in range(4)
+        for m in range(1, 7)
+        for n in range(1, 7)
+        if r < m <= n + r
+        for i in range(1, m + 1)
+        for j in range(1, n + 1)
+    ]
+
+
+def test_table_matches_per_cell_reference():
+    # the one-pass build against the per-cell formula with one math.comb per binomial
+    specs = _every_small_spec()
+    assert len(specs) == 1196
+    specs += [OverlapSpec(40, 100, 90, 50, 45), OverlapSpec(50, 120, 100, 60, 50)]
+    for spec in specs:
+        table = probability_table(spec)
+        assert list(table.entries) == [(k, ell) for k in spec.k_support for ell in spec.ell_support]
+        for (k, ell), p in table.entries.items():
+            assert p == rank_match_probability_reference(spec, k, ell), (spec, k, ell)
 
 
 def test_oracle_budget():

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -313,3 +317,12 @@ def test_cdf_exact_where_quantile_is_flat():
     for k in range(0, 400, 20):
         want = exact_panel_root(table, x[k])
         assert abs(got[k] - want) <= 2e-16 * want
+
+
+def test_quantile_density_build_does_not_import_numpy_ma():
+    # numpy.ma costs 10-20 ms to import, a large share of a scipy-free start-up
+    script = "import sys, ovstat; ovstat.complementary_beta(0.5, 1.5); assert 'numpy.ma' not in sys.modules"
+    src = str(Path(parent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -314,6 +314,26 @@ def test_single_slope_logistic_example():
     assert res.cdf.values[switch] >= (2 - 1) / (3 - 1) - 1e-9
 
 
+@pytest.mark.parametrize(
+    "j, n, F",
+    [
+        # no sample at the apex F = 1/4; the largest slope is at F = 0.3, past it
+        (2, 5, np.concatenate(([0.05, 0.1, 0.15, 0.2], np.arange(3, 10) / 10))),
+        # apex 1/3, samples 0.05 either side of it
+        (3, 7, np.concatenate((np.linspace(0.05, 1 / 3 - 0.05, 6), np.linspace(1 / 3 + 0.05, 0.95, 10)))),
+        # every sample on the falling branch, so the largest slope is the first
+        (2, 5, np.linspace(0.3, 0.9, 13)),
+        # every sample on the rising branch, so the largest slope is the last
+        (3, 5, np.linspace(0.05, 0.45, 9)),
+    ],
+)
+def test_single_slope_peak_sample_takes_its_own_branch(j, n, F):
+    x = -np.log1p(-F)  # exponential quantiles
+    slope = binom(n - 1, j - 1) * F ** (j - 1) * (1 - F) ** (n - j)
+    res = from_single_regression_slope(Curve(x, slope), j, n)
+    assert np.max(np.abs(res.cdf.values - F)) <= 1e-12
+
+
 def test_single_slope_extreme_indices_match_extreme_routes():
     # j = 1 reduces to the min-regression inversion
     x = np.linspace(0.05, 4.0, 200)
