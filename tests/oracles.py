@@ -3,11 +3,11 @@
 Each oracle computes a quantity of the library by a second, independent
 route: counting over all permutations, mixing over the pooled rank
 directly, or the per-cell closed form with one ``math.comb`` per binomial
-that the one-pass table build replaces.  The enumerations are exact but factorial in cost, so each refuses
-sizes above its budget.  The Monte Carlo oracles are the straightforward
-sort-per-row sampler and mask-based binning and rectangle counts, which the
-blocked kernels in ``ovstat.mc`` must reproduce bit for bit.  The
-reconstruction oracles are the scipy versions of the adjacent-gap route
+that the one-pass table build replaces.  The enumerations are exact but
+factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
+oracles are the straightforward sort-per-row sampler and mask-based binning
+and rectangle counts, which the blocked kernels in ``ovstat.mc`` must
+reproduce bit for bit.  The reconstruction oracles are the scipy versions of the adjacent-gap route
 (``quad`` per grid panel on a ``PchipInterpolator``) and of the single-draw
 slope route (``brentq`` per point).
 """

@@ -116,9 +116,10 @@ def test_oracle_equality_small():
             assert exact[cell] == oracle[cell], (spec, cell)
 
 
-def _every_small_spec():
-    # every geometry with r <= 3 and m, n <= 6
-    return [
+def test_table_matches_per_cell_reference():
+    # the one-pass build against the per-cell formula with one math.comb per
+    # binomial: every geometry with r <= 3 and m, n <= 6, then two large ones
+    specs = [
         OverlapSpec(r, m, n, i, j)
         for r in range(4)
         for m in range(1, 7)
@@ -127,11 +128,6 @@ def _every_small_spec():
         for i in range(1, m + 1)
         for j in range(1, n + 1)
     ]
-
-
-def test_table_matches_per_cell_reference():
-    # the one-pass build against the per-cell formula with one math.comb per binomial
-    specs = _every_small_spec()
     assert len(specs) == 1196
     specs += [OverlapSpec(40, 100, 90, 50, 45), OverlapSpec(50, 120, 100, 60, 50)]
     for spec in specs:
