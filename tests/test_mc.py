@@ -1,8 +1,13 @@
 import math
 import random
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ovstat import mc, parent
@@ -216,6 +221,86 @@ def test_binned_means_empty_bin_still_refused():
     for fn in (binned_conditional_mean, oracles.binned_conditional_mean):
         with pytest.raises(ValueError, match="empty bin"):
             fn(y, y, bins=10, trim=(0.0, 1.0))
+
+
+def _edge_neighbours(edges):
+    return np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)))
+
+
+@given(
+    base=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=60),
+    repeats=st.lists(st.integers(1, 4), min_size=60, max_size=60),
+    magnitude=st.sampled_from([1.0, 1e-300, 1e300]),
+    ends=st.sampled_from([(), (-math.inf,), (math.inf,), (-math.inf, math.inf)]),
+    values=st.lists(
+        st.one_of(
+            st.floats(-5.0, 5.0),
+            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.7e308, -1.7e308, 5e-324]),
+        ),
+        max_size=40,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_slot_lookup_equals_searchsorted(base, repeats, magnitude, ends, values):
+    # sorted edges with repeats (all equal when base has one value), spans of
+    # about 1e-300, 1 and 1e300, and optionally infinite ends
+    edges = np.sort(np.concatenate((np.repeat(base, repeats[: len(base)]) * magnitude, ends)))
+    with np.errstate(over="ignore"):
+        v = np.concatenate((np.array(values) * magnitude, np.array(values), _edge_neighbours(edges)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        slots = mc._slot_lookup(edges)(v)
+    assert np.array_equal(slots, np.searchsorted(edges, v, side="right"))
+
+
+def test_slot_lookup_compares_within_buckets():
+    # a crowded bucket (edges one ulp apart, and repeated) next to sparse ones
+    edges = np.sort(np.concatenate(([0.0, 1.0, 3.0], 0.5 + np.arange(8) * np.spacing(0.5), [2.0] * 5)))
+    lookup = mc._slot_lookup(edges)
+    assert lookup.__name__ == "lookup"  # the bucket path, not the search
+    v = np.concatenate((_edge_neighbours(edges), np.linspace(-1.0, 4.0, 10_001), [math.nan, math.inf, -math.inf, -0.0]))
+    assert np.array_equal(lookup(v), np.searchsorted(edges, v, side="right"))
+
+
+@pytest.mark.parametrize("n", [2**15 - 1, 3 * 2**15 + 17, 300_000])
+def test_binned_means_match_oracle_with_nonfinite_y(n):
+    rng = np.random.default_rng(n)
+    y = rng.exponential(size=n)
+    x = y + rng.normal(size=n)
+    y_inf = y.copy()
+    y_inf[::97], y_inf[5::101] = math.inf, -math.inf
+    y_nan = y.copy()
+    y_nan[3::89] = math.nan
+    # finite edges with the infinities outside them; nan edges, which leave
+    # every bin empty
+    for y_case, trim in [(y_inf, (0.05, 0.95)), (y_inf, (0.0, 1.0)), (y_nan, (0.05, 0.95))]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the quantile and in x - y
+            try:
+                want = oracles.binned_conditional_mean(x, y_case, bins=20, trim=trim)
+            except ValueError as refusal:
+                with pytest.raises(ValueError, match=re.escape(str(refusal))):
+                    binned_conditional_mean(x, y_case, bins=20, trim=trim)
+                continue
+            got = binned_conditional_mean(x, y_case, bins=20, trim=trim)
+        for f in BM_FIELDS:
+            assert np.array_equal(getattr(got, f), getattr(want, f)), (f, trim)
+
+
+def test_binning_makes_no_full_length_temporaries():
+    n = 10**6
+    rng = np.random.default_rng(1)
+    y = rng.exponential(size=n)
+    x = y + rng.normal(size=n)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        binned_conditional_mean(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the sorted copy of y for the edges, plus blocks of _BLOCK_ROWS pairs
+    assert peak - start <= 1.25 * 8 * n
 
 
 # -- whole reports against the parent's sampler, binning and masks -----------

@@ -304,6 +304,18 @@ def test_adjacent_route_from_tabulated_curve():
     assert err < 1e-5
 
 
+@pytest.mark.parametrize("i, m, bound", [(2, 3, 0.025), (3, 5, 0.04)])
+def test_adjacent_route_tabulated_gap_past_grid_follows_last_secant(i, m, bound):
+    # the exponential gap grows linearly past the last node; the end cubic of
+    # the interpolant bends away from it (cdf errors 0.072 and 0.159), the last
+    # secant stays close (0.016 and 0.029)
+    model = parent.exponential()
+    x = np.asarray(model.quantile(np.arange(1, 402) / 402.0), dtype=float)
+    gap = x - np.array([mean_adjacent(model, i, m, float(t)) for t in x])
+    res = from_adjacent_regression(Curve(x, gap), i, upper=math.inf)
+    assert res.max_abs_error_against(lambda t: -np.expm1(-t)) <= bound
+
+
 def test_single_slope_logistic_example():
     x = np.linspace(-9.0, 9.0, 301)
     slope = 2 * np.exp(x) / (1 + np.exp(x)) ** 2
