@@ -283,7 +283,7 @@ def _slot_lookup(edges: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     def lookup(v: np.ndarray) -> np.ndarray:
         slot = first[bucket(v)]
         for k in reversed(range(steps)):
-            slot += (padded[slot + ((1 << k) - 1)] <= v) << k
+            slot += (padded[slot + ((1 << k) - 1)] <= v) * (1 << k)
         return slot
 
     return lookup

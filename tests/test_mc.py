@@ -254,8 +254,9 @@ def test_slot_lookup_equals_searchsorted(base, repeats, magnitude, ends, values)
 
 
 def test_slot_lookup_compares_within_buckets():
-    # a crowded bucket (edges one ulp apart, and repeated) next to sparse ones
-    edges = np.sort(np.concatenate(([0.0, 1.0, 3.0], 0.5 + np.arange(8) * np.spacing(0.5), [2.0] * 5)))
+    # crowded buckets (edges one ulp apart, and one edge repeated past 2^8
+    # times, so the search takes 9 steps) next to sparse ones
+    edges = np.sort(np.concatenate(([0.0, 1.0, 3.0], 0.5 + np.arange(8) * np.spacing(0.5), [2.0] * 300)))
     lookup = mc._slot_lookup(edges)
     assert lookup.__name__ == "lookup"  # the bucket path, not the search
     v = np.concatenate((_edge_neighbours(edges), np.linspace(-1.0, 4.0, 10_001), [math.nan, math.inf, -math.inf, -0.0]))
