@@ -256,12 +256,12 @@ def _slot_lookup(edges: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     v; so an edge in an earlier bucket lies at or below v, one in a later
     bucket above it, and only the edges that share v's bucket are searched,
     by a branchless binary search as deep as the fullest bucket needs.
-    Non-finite edges, or a span the scale cannot represent, take
-    ``np.searchsorted``.
+    Edges whose span the scale cannot represent (all equal, an infinite end,
+    a span that overflows) take ``np.searchsorted``.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         scale = _BUCKETS / (edges[-1] - edges[0])
-    if not (np.all(np.isfinite(edges)) and math.isfinite(scale) and scale > 0):
+    if not (math.isfinite(scale) and scale > 0):
         return lambda v: np.searchsorted(edges, v, side="right")
 
     def bucket(v: np.ndarray) -> np.ndarray:
@@ -308,6 +308,8 @@ def binned_conditional_mean(
     if len(x) != len(y):
         raise ValueError("x and y must have the same length")
     edges = np.quantile(np.sort(y), np.linspace(lo, hi, bins + 1), overwrite_input=True)
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("bin edges are not finite; narrow the trim to keep the infinite or nan values of y outside them")
     lookup = _slot_lookup(edges)
     counts = np.zeros(bins + 2, dtype=np.intp)
     # sums of x, x^2, y, x - y and (x - y)^2 per slot

@@ -22,8 +22,10 @@ both tails (panelwise Gauss-Legendre, then cubic Hermite evaluation with the
 exact derivative q).  The quantile finds its panel from the logarithm of the
 level; the cdf inverts the same table, one panel cubic at a time, by Newton's
 method safeguarded with bisection, so cdf and quantile round-trip to inversion
-tolerance by construction.  Outside the support the cdf is exactly 0 or 1 and
-the pdf is 0.
+tolerance by construction.  Past the table each tail is the power law
+q ~ c d^(-a) in the distance d to its end, fitted to the stored q; its one
+exponent decides the support endpoint and whether the mean is finite.
+Outside the support the cdf is exactly 0 or 1 and the pdf is 0.
 """
 
 from __future__ import annotations
@@ -52,6 +54,9 @@ __all__ = [
 U_MIN = 1e-12
 _GRID_RATIO = 1.004
 _NEWTON_STEPS = 16
+# an end exponent fitted within this of 1 (or 2) is taken to reach it; the fit
+# is off by at most 1.5e-11 on the cb, logistic and midsample densities
+_TAIL_TOL = 1e-6
 
 
 def _maybe_scalar(x, out: np.ndarray):
@@ -76,8 +81,8 @@ class ParentModel:
 
     All four callables accept floats or numpy arrays.  ``finite_mean`` is a
     diagnostic flag: heavy-tailed quantile-density families may have infinite
-    absolute first moment, in which case regression integrals are refused or
-    trimmed by the callers.
+    absolute first moment, in which case the regression functions warn with
+    a ``RuntimeWarning`` and still return their integrals.
     """
 
     name: str
@@ -259,16 +264,16 @@ class _QuantileTable:
         vals = scale * q_arr(pts.ravel()).reshape(pts.shape)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("quantile density must be positive and finite on (0, 1)")
-        self.panel = (vals * weights[None, :]).sum(axis=1) * half
-        if not np.all(np.isfinite(self.panel)):
+        panel = (vals * weights[None, :]).sum(axis=1) * half
+        if not np.all(np.isfinite(panel)):
             raise ValueError("quantile density is not integrable inside (0, 1)")
         # accumulate outward from the median: a divergent tail integral must
         # not contaminate the floating-point resolution of central values
         mid = self.median_index
         values = np.empty_like(self.u)
         values[mid] = location
-        values[mid + 1 :] = location + np.cumsum(self.panel[mid:])
-        values[:mid] = location - np.cumsum(self.panel[:mid][::-1])[::-1]
+        values[mid + 1 :] = location + np.cumsum(panel[mid:])
+        values[:mid] = location - np.cumsum(panel[:mid][::-1])[::-1]
         self.values = values
         if np.any(np.diff(values) < 0):
             raise ValueError("quantile integration produced a non-monotone table")
@@ -276,7 +281,6 @@ class _QuantileTable:
         if not np.all(np.isfinite(self.deriv)) or np.any(self.deriv <= 0):
             raise ValueError("quantile density must be positive and finite on (0, 1)")
         self._q = q_arr
-        self._scale = scale
 
     # cubic Hermite basis on one panel
     def _hermite(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -346,23 +350,6 @@ class _QuantileTable:
                     break
         return np.clip(self.u[idx] + t * h, self.u[0], self.u[-1])
 
-    def decade_sums(self, of_values: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Per-decade integrals of q (or of |Q|) near each endpoint; used for
-        divergence heuristics.  Decade d covers u in [10^-(d+1), 10^-d]."""
-        u_mid = 0.5 * (self.u[:-1] + self.u[1:])
-        if of_values:
-            w = 0.5 * np.abs(self.values[:-1] + self.values[1:]) * np.diff(self.u)
-        else:
-            w = self.panel
-        left_d = np.floor(-np.log10(u_mid)).astype(int)
-        right_d = np.floor(-np.log10(1.0 - u_mid)).astype(int)
-        max_d = int(-math.log10(U_MIN))
-        left = np.zeros(max_d + 1)
-        right = np.zeros(max_d + 1)
-        np.add.at(left, np.clip(left_d, 0, max_d), w)
-        np.add.at(right, np.clip(right_d, 0, max_d), w)
-        return left, right
-
 
 def _coerce_vectorized(q: Callable) -> Callable:
     probe = np.array([0.25, 0.5, 0.75])
@@ -375,44 +362,41 @@ def _coerce_vectorized(q: Callable) -> Callable:
     return np.vectorize(lambda u: float(q(u)))
 
 
-def _diverges(decades: np.ndarray, lo: int = 6, hi: int = 11, threshold: float = 0.9) -> bool:
-    # A geometric per-decade ratio >= ~1 means the endpoint integral diverges.
-    s = decades[lo : hi + 1]
-    if np.any(s <= 0):
-        return False
-    ratios = s[1:] / s[:-1]
-    # the middle ratio of an odd count; np.median would import numpy.ma
-    return bool(np.sort(ratios)[len(ratios) // 2] > threshold)
-
-
 def from_quantile_density(
     q: Callable,
     location: float = 0.0,
     scale: float = 1.0,
     name: str | None = None,
-    left_unbounded: bool | None = None,
-    right_unbounded: bool | None = None,
 ) -> ParentModel:
     """Build a parent model from a positive quantile density on (0, 1).
 
-    The model is pinned by Q(1/2) = location; ``scale`` multiplies q.  Support
-    endpoints are declared infinite either explicitly or when the endpoint
-    integral of q fails a per-decade convergence test.
+    The model is pinned by Q(1/2) = location; ``scale`` multiplies q.  Past
+    the table each end follows the power law q ~ c d^(-a) in the distance d to
+    that end, with a read from the stored q at the end node and one decade in.
+    The end is infinite from a = 1 on; below it the endpoint is the end value
+    moved out by q d / (1 - a).  The mean is finite while both a stay below 2.
+
+    The fitted a is within 1.5e-11 of the true one on the cb, logistic and
+    midsample densities.  The finite cb endpoints are within 2.4e-13 of the
+    exact ones for alpha, beta in {-0.5, 0, 0.5, 1, 1.5, 2} and for
+    cb(0.99, 0).  An exponent near 1 leaves much of Q past the table, and
+    cb(0.95, 0.95) is off by 3.7e-10 on the left and by 1.9e-7 on the right,
+    where the table's last value already carries that error.
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
     table = _QuantileTable(q, location, scale)
 
-    q_left, q_right = table.decade_sums(of_values=False)
-    if left_unbounded is None:
-        left_unbounded = _diverges(q_left)
-    if right_unbounded is None:
-        right_unbounded = _diverges(q_right)
-    lo = -math.inf if left_unbounded else _finite_endpoint(table, q_left, left=True)
-    hi = math.inf if right_unbounded else _finite_endpoint(table, q_right, left=False)
-
-    v_left, v_right = table.decade_sums(of_values=True)
-    finite_mean = not (_diverges(v_left) or _diverges(v_right))
+    # rows: left and right end; columns: the end node and one decade in.  d is
+    # u on the left and 1 - u on the right, exact for the stored u above 1/2
+    k = round(math.log(10.0) * table._inv_step)
+    d = np.array([table.u[[0, k]], 1.0 - table.u[[-1, -1 - k]]])
+    qe = table.deriv[[[0, k], [-1, -1 - k]]]
+    a = np.log(qe[:, 0] / qe[:, 1]) / np.log(d[:, 1] / d[:, 0])
+    with np.errstate(divide="ignore"):
+        tail = np.where(a < 1.0 - _TAIL_TOL, qe[:, 0] * d[:, 0] / (1.0 - a), np.inf)
+    lo, hi = float(table.values[0] - tail[0]), float(table.values[-1] + tail[1])
+    finite_mean = bool(np.all(a < 2.0 - _TAIL_TOL))
 
     qd = table._q
 
@@ -433,16 +417,6 @@ def from_quantile_density(
     )
 
 
-def _finite_endpoint(table: _QuantileTable, decades: np.ndarray, left: bool) -> float:
-    # Extrapolate the remaining tail mass of q geometrically beyond U_MIN.
-    s_last, s_prev = decades[11], decades[10]
-    tail = 0.0
-    if s_prev > 0 and 0 < s_last < s_prev:
-        rho = s_last / s_prev
-        tail = s_last * rho / (1.0 - rho)
-    return float(table.values[0] - tail) if left else float(table.values[-1] + tail)
-
-
 def complementary_beta(
     alpha: float, beta: float, location: float = 0.0, scale: float = 1.0
 ) -> ParentModel:
@@ -453,15 +427,12 @@ def complementary_beta(
     exponential type; alpha = beta = 0 the uniform.  The support endpoint on
     each side is finite exactly when the corresponding exponent is < 1.
     """
-    model = from_quantile_density(
+    return from_quantile_density(
         lambda u: u ** (-alpha) * (1.0 - u) ** (-beta),
         location=location,
         scale=scale,
         name=f"cb(alpha={alpha:g}, beta={beta:g})",
-        left_unbounded=alpha >= 1,
-        right_unbounded=beta >= 1,
     )
-    return model
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,8 @@ def binned_conditional_mean(
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("trim must be an increasing pair inside [0, 1]")
     edges = np.quantile(y, np.linspace(lo, hi, bins + 1))
+    if not np.all(np.isfinite(edges)):
+        raise ValueError("bin edges are not finite; narrow the trim to keep the infinite or nan values of y outside them")
     keep = (y >= edges[0]) & (y <= edges[-1])
     ys = y[keep]
     xs = x[keep]

@@ -272,8 +272,8 @@ def test_binned_means_match_oracle_with_nonfinite_y(n):
     y_inf[::97], y_inf[5::101] = math.inf, -math.inf
     y_nan = y.copy()
     y_nan[3::89] = math.nan
-    # finite edges with the infinities outside them; nan edges, which leave
-    # every bin empty
+    # finite edges with the infinities outside them; infinite ends (trim
+    # (0, 1)) and nan edges, which both sides refuse
     for y_case, trim in [(y_inf, (0.05, 0.95)), (y_inf, (0.0, 1.0)), (y_nan, (0.05, 0.95))]:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the quantile and in x - y
@@ -286,6 +286,21 @@ def test_binned_means_match_oracle_with_nonfinite_y(n):
             got = binned_conditional_mean(x, y_case, bins=20, trim=trim)
         for f in BM_FIELDS:
             assert np.array_equal(getattr(got, f), getattr(want, f)), (f, trim)
+
+
+def test_binned_means_refuse_nonfinite_edges():
+    # interpolating between two infinite order statistics gives a nan edge;
+    # the last bin then took every y above the one before it, +inf included
+    n = 2**15 - 1
+    rng = np.random.default_rng(n)
+    y = rng.exponential(size=n)
+    y[::97] = math.inf
+    x = y + rng.normal(size=n)
+    for fn in (binned_conditional_mean, oracles.binned_conditional_mean):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the quantile
+            with pytest.raises(ValueError, match="bin edges are not finite"):
+                fn(x, y, bins=20, trim=(0.5, 1.0))
 
 
 def test_binning_makes_no_full_length_temporaries():

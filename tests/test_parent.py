@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ovstat import parent
-from ovstat.reconstruct import midsample_quantile_density
+from ovstat.reconstruct import midsample_mixing_weight, midsample_quantile_density
 
 
 def grid999():
@@ -117,6 +117,57 @@ def test_corollary_parents_from_qdf():
     assert not m.finite_mean  # the upper tail integral of |Q| diverges
     m2 = parent.from_quantile_density(midsample_quantile_density(3, 5))
     assert not m2.finite_mean
+
+
+def cb_density(alpha, beta):
+    return lambda u: u ** (-alpha) * (1.0 - u) ** (-beta)
+
+
+def midsample_exponents(j, n):
+    lam = midsample_mixing_weight(j, n)
+    return 1.0 + (j - 1) * lam, 1.0 + (n - j) * (1.0 - lam)
+
+
+# (name, q, exponent of q at the left end, at the right end): the cb grid,
+# alpha just below 1, the logistic q and the midsample parents
+TAIL_CASES = (
+    [(f"cb({a:g}, {b:g})", cb_density(a, b), a, b) for a in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0) for b in (-0.5, 0.5, 1.0, 2.5)]
+    + [("cb(0.99, 0)", cb_density(0.99, 0.0), 0.99, 0.0), ("logistic", cb_density(1.0, 1.0), 1.0, 1.0)]
+    + [(f"midsample({j}, {n})", midsample_quantile_density(j, n), *midsample_exponents(j, n)) for j, n in [(2, 4), (3, 4), (3, 5), (4, 7)]]
+)
+
+
+def cb_endpoints(alpha, beta):
+    """The exact support of cb(alpha, beta) with its median at 0."""
+    with mpmath.workdps(30):
+        lo = -float(mpmath.betainc(1 - alpha, 1 - beta, 0, 0.5)) if alpha < 1 else -math.inf
+        hi = float(mpmath.betainc(1 - beta, 1 - alpha, 0, 0.5)) if beta < 1 else math.inf
+    return lo, hi
+
+
+@pytest.mark.parametrize("name, q, e_left, e_right", TAIL_CASES, ids=[c[0] for c in TAIL_CASES])
+def test_tail_decisions_match_exact(name, q, e_left, e_right):
+    # an end is infinite when q ~ d^(-a) with a >= 1 at distance d from it, and
+    # the mean is finite when both a < 2; finite ends against mpmath
+    m = parent.from_quantile_density(q)
+    lo, hi = m.support
+    assert math.isinf(lo) == (e_left >= 1) and math.isinf(hi) == (e_right >= 1)
+    assert m.finite_mean == (max(e_left, e_right) < 2)
+    if name.startswith("cb"):
+        want = cb_endpoints(e_left, e_right)
+        for got, exact in zip(m.support, want):
+            assert got == exact or abs(got - exact) <= 1e-12, (got, exact)
+
+
+def test_tail_endpoints_with_exponents_near_one():
+    # past the table each end still holds 5 units of Q, so the fitted
+    # exponent's error shows: 3.7e-10 on the left.  The right end's 1.9e-7 is
+    # already in the table's last value, whose q is evaluated at levels formed
+    # in u near 1.  Reported, not bounded
+    m = parent.from_quantile_density(cb_density(0.95, 0.95))
+    errors = [abs(got - exact) for got, exact in zip(m.support, cb_endpoints(0.95, 0.95))]
+    assert all(math.isfinite(e) for e in errors)
+    print(f"cb(0.95, 0.95) endpoint errors: left {errors[0]:.2g}, right {errors[1]:.2g}")
 
 
 def test_non_integrable_qdf_rejected():
