@@ -129,12 +129,12 @@ def midsample_exponents(j, n):
 
 
 # (name, q, exponent of q at the left end, at the right end): the cb grid,
-# alpha just below 1, the logistic q and the midsample parents
-TAIL_CASES = (
-    [(f"cb({a:g}, {b:g})", cb_density(a, b), a, b) for a in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0) for b in (-0.5, 0.5, 1.0, 2.5)]
-    + [("cb(0.99, 0)", cb_density(0.99, 0.0), 0.99, 0.0), ("logistic", cb_density(1.0, 1.0), 1.0, 1.0)]
-    + [(f"midsample({j}, {n})", midsample_quantile_density(j, n), *midsample_exponents(j, n)) for j, n in [(2, 4), (3, 4), (3, 5), (4, 7)]]
-)
+# whose cb(1, 1) is the logistic q, alpha just below 1, and the midsample parents
+CB_EXPONENTS = [(a, b) for a in (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0) for b in (-0.5, 0.5, 1.0, 2.5)] + [(0.99, 0.0)]
+TAIL_CASES = [(f"cb({a:g}, {b:g})", cb_density(a, b), a, b) for a, b in CB_EXPONENTS] + [
+    (f"midsample({j}, {n})", midsample_quantile_density(j, n), *midsample_exponents(j, n))
+    for j, n in [(2, 4), (3, 4), (3, 5), (4, 7)]
+]
 
 
 def cb_endpoints(alpha, beta):
@@ -282,7 +282,7 @@ CB_TABLES = [(0.5, 1.5), (0.5, 0.5), (1.0, 1.0), (2.0, 0.3)]
 
 
 def cb_table(alpha, beta):
-    return parent._QuantileTable(lambda u: u ** (-alpha) * (1.0 - u) ** (-beta), 0.0, 1.0)
+    return parent._QuantileTable(cb_density(alpha, beta), 0.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha, beta", CB_TABLES)
