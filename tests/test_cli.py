@@ -193,6 +193,12 @@ def test_verify_roundtrip_and_failure(tmp_path):
     assert main(args + ["--zmax", "0.001"]) == 4
 
 
+def test_verify_refuses_negative_seed(capsys):
+    args = ["verify", "--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1", "--family", "uniform", "--reps", "1000"]
+    assert main(args + ["--seed", "-1"]) == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 1, "m": 2, "n": 2, "i": 1, "j": 2}))

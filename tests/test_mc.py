@@ -1,6 +1,7 @@
 import math
 import random
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -116,6 +117,33 @@ def test_count_validation():
         simulate_pairs(OverlapSpec(1, 2, 2, 1, 1), UNI, 0, seed=1)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"chunk_size": -5}, "chunk_size"),
+        ({"chunk_size": 0}, "chunk_size"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+    ],
+    ids=str,
+)
+def test_simulate_pairs_refuses_bad_arguments(kwargs, message):
+    # a negative chunk size gave uninitialised memory, zero failed inside
+    # range, and a negative seed raised OverflowError
+    args = {"seed": 1, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        simulate_pairs(OverlapSpec(1, 2, 2, 1, 1), UNI, 1_000, **args)
+    with pytest.raises(ValueError, match=message):
+        regression_comparison(OverlapSpec(1, 2, 2, 1, 1), UNI, 1_000, bins=10, **args)
+
+
+def test_simulate_pairs_takes_the_largest_seed():
+    spec = OverlapSpec(1, 2, 2, 1, 1)
+    top = simulate_pairs(spec, UNI, 1_000, seed=2**64 - 1)
+    assert top.count == 1_000
+    assert not np.array_equal(top.x, simulate_pairs(spec, UNI, 1_000, seed=0).x)
+
+
 # -- the blocked kernel against the sort-per-row sampler ---------------------
 
 FIELDS = ("x", "y", "rank_x", "rank_y")
@@ -142,10 +170,14 @@ def _kernel_cases():
     # counts off every multiple; chunks below, between and above the block
     shapes = [(2 * block + 11, 50_001), (block + 3, 10_007), (block - 5, 10**6), (90_001, 40_000)]
     names = list(PARENTS)
-    return [
+    cases = [
         (spec, names[k % 3], *shapes[k % 4], 1 + k % 2)
         for k, spec in enumerate(specs)
     ]
+    # one chunk of several blocks, the last one partial, on two workers; odd
+    # and even N, and the row sort
+    several = [(OverlapSpec(1, 3, 4, 2, 3), "cb"), (OverlapSpec(2, 5, 5, 3, 2), "exponential"), (OverlapSpec(6, 30, 24, 2, 12), "uniform")]
+    return cases + [(spec, name, 3 * block + 7, 10**6, 2) for spec, name in several]
 
 
 KERNEL_CASES = _kernel_cases()
@@ -167,6 +199,41 @@ def test_simulate_pairs_matches_sorting_oracle(spec, name, count, chunk_size, wo
     for f in FIELDS:
         a, b = getattr(got, f), getattr(want, f)
         assert a.dtype == b.dtype and np.array_equal(a, b), f
+
+
+def test_blocks_of_one_chunk_agree_for_any_worker_count():
+    spec = OverlapSpec(2, 4, 5, 3, 1)
+    count = 5 * mc._BLOCK_ROWS - 100  # one chunk of 5 blocks
+    model = PARENTS["cb"]
+    serial = simulate_pairs(spec, model, count, seed=31, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as possible
+    try:
+        # more workers than blocks, and than cores
+        for workers in (2, 3, 8):
+            threaded = simulate_pairs(spec, model, count, seed=31, workers=workers)
+            for f in FIELDS:
+                assert np.array_equal(getattr(serial, f), getattr(threaded, f)), (f, workers)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("N", [5, 7])
+def test_block_generator_continues_the_chunk_stream(N):
+    block = mc._BLOCK_ROWS
+    rows = 3 * block + 7
+    whole = np.random.Generator(np.random.Philox(key=np.array([12, 3], dtype=np.uint64))).random((rows, N))
+    for b in range(4):  # the last block holds 7 rows
+        part = whole[b * block : (b + 1) * block]
+        assert np.array_equal(mc._block_generator(12, 3, b, N).random(part.shape), part), b
+
+
+def test_regression_draws_skip_the_ranks():
+    spec = OverlapSpec(1, 3, 3, 2, 2)
+    full = simulate_pairs(spec, UNI, 70_000, seed=5, chunk_size=40_000, workers=2)
+    bare = mc._draw_pairs(spec, UNI, 70_000, seed=5, chunk_size=40_000, workers=2, ranks=False)
+    assert bare.rank_x is None and bare.rank_y is None
+    assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
 
 
 @pytest.mark.parametrize("m", range(1, 33))
@@ -326,6 +393,8 @@ def test_binning_makes_no_full_length_temporaries():
 def parent_kernels(monkeypatch):
     def use():
         monkeypatch.setattr(mc, "simulate_pairs", oracles.simulate_pairs)
+        # the regression comparisons draw through the rank-free sampler
+        monkeypatch.setattr(mc, "_draw_pairs", lambda *args, ranks, **kwargs: oracles.simulate_pairs(*args, **kwargs))
         monkeypatch.setattr(mc, "binned_conditional_mean", oracles.binned_conditional_mean)
         monkeypatch.setattr(mc, "_rectangle_frequencies", oracles.rectangle_frequencies)
 
