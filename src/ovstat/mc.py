@@ -6,25 +6,22 @@ realise.  Ties between the two os's are detected through rank identity, never
 through floating-point equality of simulated reals.
 
 Streams are counter-based (Philox) and chunked with a fixed chunk size: chunk
-c of a run with seed s always uses the (s, c) key.  A chunk is cut into
-blocks of 2^15 rows, and block b starts its draws by advancing the (s, c)
-counter b * 2^13 * N steps, so every block is the same slice of the chunk's
-stream as in one whole-chunk draw.  The blocks of all chunks are the work
-items of a thread pool (``workers``); each writes its slice of preallocated
-outputs, so aggregates are bit-identical for any worker count.
+c of a run with seed s always uses the (s, c) key.  A chunk is drawn in
+blocks of 2^15 rows, and its blocks are cut into one run of consecutive
+blocks per worker.  A run that starts at block b advances the (s, c) counter
+b * 2^13 * N steps, so every block is the same slice of the chunk's stream
+as in one whole-chunk draw.  The runs of all chunks are the work items of a
+thread pool (``workers``); each writes its slice of preallocated outputs, so
+aggregates are bit-identical for any worker count, and a one-chunk draw
+runs on every worker.
 
 Per block, the i-th of m values comes from a compare-exchange network pruned
-to that output, run in place on a copy of the block's contiguous columns, or
-from sorting the rows where the network would be the slower; ranks count the
-other sample's draws only (the regression comparisons, which read the values
-alone, skip them); the parent quantile runs on the block while it is in
-cache.  A thread keeps its block buffers from block to block, so blocks do
-not fault in fresh pages.  For a given seed and chunk size the samples, and
-every report built on them, are those of one whole-chunk draw with row sorts
-and full rank counts (unless two draws of one row are equal, which has
-probability below N^2 / 2^54).  On a 2-vCPU host with 2 workers, 2x10^5
-draws of (1,3,3,2,2) with the exponential parent take about 13 ms (about
-20 ms with one worker) and 10^7 take about 0.45 s.
+to that output, run on the block's contiguous columns, or from sorting the
+rows where the network would be the slower; ranks count the other sample's
+draws only; the parent quantile runs on the block while it is in cache.  For
+a given seed and chunk size the samples, and every report built on them, are
+those of one whole-chunk draw with row sorts and full rank counts (unless
+two draws of one row are equal, which has probability below N^2 / 2^54).
 
 Binning takes its quantile edges from one sorted copy of the conditioner,
 drops it, and streams the pairs in the same blocks.  A pair's slot comes from
@@ -42,7 +39,6 @@ from __future__ import annotations
 import functools
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -132,42 +128,23 @@ def _selection_network(m: int, i: int) -> tuple[tuple[int, int, bool, bool], ...
     return tuple(reversed(kept))
 
 
-def _network_or_none(m: int, i: int) -> tuple[tuple[int, int, bool, bool], ...] | None:
-    """The pruned network for the i-th of m values, or None where sorting the rows is faster."""
-    network = _selection_network(m, i)
-    if sum(keep_lo + keep_hi for _, _, keep_lo, keep_hi in network) > _MAX_NETWORK_OPS:
-        return None
-    return network
-
-
-def _order_statistic(rows: np.ndarray, columns: np.ndarray, i: int, work: np.ndarray | None = None) -> np.ndarray:
+def _order_statistic(rows: np.ndarray, columns: np.ndarray, i: int) -> np.ndarray:
     """The i-th smallest of each draw's m values, given as rows (b x m) and as columns (m x b).
 
-    Small selections copy the columns into ``work`` (m + 1 rows of b, made
-    when None) and run the pruned network there in place, the spare row
-    taking a comparator's minimum while its maximum overwrites the high
-    wire; above ``_MAX_NETWORK_OPS`` calls, sorting the rows is faster.
-    Either way the result is one of the drawn values, so it does not depend
-    on the route.
+    Small selections run the pruned network on the contiguous columns; above
+    ``_MAX_NETWORK_OPS`` calls, sorting the rows is faster.  Either way the
+    result is one of the drawn values, so it does not depend on the route.
     """
-    m = len(columns)
-    network = _network_or_none(m, i)
-    if network is None:
+    network = _selection_network(len(columns), i)
+    if sum(keep_lo + keep_hi for _, _, keep_lo, keep_hi in network) > _MAX_NETWORK_OPS:
         return np.sort(rows, axis=1)[:, i - 1]
-    if work is None:
-        work = np.empty((m + 1, columns.shape[1]))
-    np.copyto(work[:m], columns)
-    wires, spare = list(work[:m]), work[m]
+    wires = list(columns)
     for a, b, keep_lo, keep_hi in network:
         low, high = wires[a], wires[b]
-        if keep_lo and keep_hi:
-            np.minimum(low, high, out=spare)
-            np.maximum(low, high, out=high)
-            wires[a], spare = spare, low
-        elif keep_lo:
-            np.minimum(low, high, out=low)
-        elif keep_hi:
-            np.maximum(low, high, out=high)
+        if keep_lo:
+            wires[a] = np.minimum(low, high)
+        if keep_hi:
+            wires[b] = np.maximum(low, high)
     return wires[i - 1]
 
 
@@ -184,89 +161,37 @@ def _block_generator(seed: int, chunk: int, block: int, N: int) -> np.random.Gen
     return np.random.Generator(bit_generator)
 
 
-def _simulate_block(
+def _simulate_run(
     spec: OverlapSpec,
     model: ParentModel,
     seed: int,
     chunk: int,
     block: int,
-    rows: slice,
-    sample: PairSample,
-    scratch: threading.local,
+    x: np.ndarray,
+    y: np.ndarray,
+    rank_x: np.ndarray,
+    rank_y: np.ndarray,
 ) -> None:
-    """Fill ``rows`` of ``sample`` as block ``block`` of chunk ``chunk``; ranks that are None stay so.
+    """Fill the outputs' slices as the blocks of chunk ``chunk`` from block ``block`` on.
 
-    The block's uniforms, as rows and as columns, and the wires of its two
-    selection networks live in one array per thread, split into
-    ``scratch.parts`` on the thread's first block and reused for the rest.  Block-sized
-    arrays made and freed per block let the heap shrink between blocks, and
-    each block then faulted its pages in again.
+    Consecutive ``random`` calls continue the stream, so the draws are those
+    of one call for the whole chunk.
     """
+    rng = _block_generator(seed, chunk, block, spec.pooled_size)
     r, m, n, N = spec.r, spec.m, spec.n, spec.pooled_size
-    if not hasattr(scratch, "parts"):
-        # a selection that sorts the rows needs no wires
-        wires = [k + 1 if _network_or_none(k, o) is not None else 0 for k, o in ((m, spec.i), (n, spec.j))]
-        flat = np.empty((2 * N + sum(wires)) * _BLOCK_ROWS)
-        scratch.parts = np.split(flat, np.cumsum([N, N, wires[0]]) * _BLOCK_ROWS)
-    b = rows.stop - rows.start
-    u = _block_generator(seed, chunk, block, N).random(out=scratch.parts[0][: b * N].reshape(b, N))
-    columns, x_work, y_work = (part.reshape(-1, _BLOCK_ROWS)[:, :b] for part in scratch.parts[1:])
-    np.copyto(columns, u.T)
-    xu = _order_statistic(u[:, :m], columns[:m], spec.i, x_work)
-    yu = _order_statistic(u[:, r : r + n], columns[r : r + n], spec.j, y_work)
-    if sample.rank_x is not None:
+    for lo in range(0, len(x), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(x))
+        u = rng.random((hi - lo, N))
+        columns = u.T.copy()
+        xu = _order_statistic(u[:, :m], columns[:m], spec.i)
+        yu = _order_statistic(u[:, r : r + n], columns[r : r + n], spec.j)
         # the i-th (j-th) os's own sample holds exactly i (j) draws <= it, so
         # only the other sample's draws are counted; this assumes the row's
         # draws distinct
-        np.sum(columns[m:] <= xu, axis=0, dtype=np.int16, out=sample.rank_x[rows])
-        np.sum(columns[:r] <= yu, axis=0, dtype=np.int16, out=sample.rank_y[rows])
-        sample.rank_x[rows] += spec.i
-        sample.rank_y[rows] += spec.j
-    sample.x[rows] = model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN, out=xu))
-    sample.y[rows] = model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN, out=yu))
-
-
-def _draw_pairs(
-    spec: OverlapSpec,
-    model: ParentModel,
-    count: int,
-    seed: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    workers: int | None = None,
-    *,
-    ranks: bool,
-) -> PairSample:
-    """`simulate_pairs`, whose rank arrays are None unless ``ranks`` is set."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2^64)")
-    rank_x = rank_y = None
-    if ranks:
-        rank_x, rank_y = np.empty(count, dtype=np.int16), np.empty(count, dtype=np.int16)
-    sample = PairSample(
-        spec=spec, model_name=model.name, seed=seed, x=np.empty(count), y=np.empty(count), rank_x=rank_x, rank_y=rank_y
-    )
-    # one work item per block: (chunk, block within the chunk, its rows)
-    items = [
-        (chunk, block, slice(lo, min(lo + _BLOCK_ROWS, hi)))
-        for chunk, (start, hi) in enumerate(_chunk_ranges(count, chunk_size))
-        for block, lo in enumerate(range(start, hi, _BLOCK_ROWS))
-    ]
-    scratch = threading.local()
-
-    def run(item: tuple[int, int, slice]) -> None:
-        _simulate_block(spec, model, seed, *item, sample, scratch)
-
-    if workers and workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, items))
-    else:
-        for item in items:
-            run(item)
-    return sample
+        rank_x[lo:hi] = spec.i + np.count_nonzero(columns[m:] <= xu, axis=0)
+        rank_y[lo:hi] = spec.j + np.count_nonzero(columns[:r] <= yu, axis=0)
+        x[lo:hi] = model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN))
+        y[lo:hi] = model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN))
 
 
 def simulate_pairs(
@@ -283,7 +208,36 @@ def simulate_pairs(
     result is identical for any ``workers`` setting.  ``seed`` must lie in
     [0, 2^64) and ``chunk_size`` be at least 1.
     """
-    return _draw_pairs(spec, model, count, seed, chunk_size, workers, ranks=True)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2^64)")
+    x, y = np.empty(count), np.empty(count)
+    rank_x, rank_y = np.empty(count, dtype=np.int16), np.empty(count, dtype=np.int16)
+    # work items (chunk, first block, rows): each chunk's blocks cut into one
+    # run per worker.  Items of a single block, whose arrays are all freed at
+    # its end, let the heap shrink, and every block faulted its pages in again.
+    parts = max(workers or 1, 1)
+    items = []
+    for chunk, (start, stop) in enumerate(_chunk_ranges(count, chunk_size)):
+        blocks = -(-(stop - start) // _BLOCK_ROWS)
+        firsts = sorted({blocks * k // parts for k in range(parts)})
+        bounds = [start + first * _BLOCK_ROWS for first in firsts] + [stop]
+        items += [(chunk, first, slice(lo, hi)) for first, lo, hi in zip(firsts, bounds, bounds[1:])]
+
+    def run(item: tuple[int, int, slice]) -> None:
+        chunk, block, rows = item
+        _simulate_run(spec, model, seed, chunk, block, x[rows], y[rows], rank_x[rows], rank_y[rows])
+
+    if workers and workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, items))
+    else:
+        for item in items:
+            run(item)
+    return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
 
 
 def empirical_tie_table(
@@ -568,8 +522,7 @@ def regression_comparison(
 ) -> MCReport:
     """Binned conditional means of the first os given the second, against the
     analytic regression curve evaluated at the per-bin mean of the conditioner."""
-    # the binned means read x and y only
-    sample = _draw_pairs(spec, model, count, seed, ranks=False, **sim_kwargs)
+    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
     bm = binned_conditional_mean(sample.x, sample.y, bins=bins, trim=trim)
     comparisons = [
         Comparison(
@@ -605,8 +558,7 @@ def identity_regression_comparison(
     Under the identity regression the conditional mean of x - y vanishes in
     every bin of y, which avoids curvature bias entirely.
     """
-    # the binned means read x and y only
-    sample = _draw_pairs(spec, model, count, seed, ranks=False, **sim_kwargs)
+    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
     bm = binned_conditional_mean(sample.x, sample.y, bins=bins, trim=trim)
     comparisons = [
         Comparison(

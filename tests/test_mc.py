@@ -228,14 +228,6 @@ def test_block_generator_continues_the_chunk_stream(N):
         assert np.array_equal(mc._block_generator(12, 3, b, N).random(part.shape), part), b
 
 
-def test_regression_draws_skip_the_ranks():
-    spec = OverlapSpec(1, 3, 3, 2, 2)
-    full = simulate_pairs(spec, UNI, 70_000, seed=5, chunk_size=40_000, workers=2)
-    bare = mc._draw_pairs(spec, UNI, 70_000, seed=5, chunk_size=40_000, workers=2, ranks=False)
-    assert bare.rank_x is None and bare.rank_y is None
-    assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
-
-
 @pytest.mark.parametrize("m", range(1, 33))
 def test_selection_network_picks_every_order_statistic(m, monkeypatch):
     rng = np.random.default_rng(m)
@@ -393,8 +385,6 @@ def test_binning_makes_no_full_length_temporaries():
 def parent_kernels(monkeypatch):
     def use():
         monkeypatch.setattr(mc, "simulate_pairs", oracles.simulate_pairs)
-        # the regression comparisons draw through the rank-free sampler
-        monkeypatch.setattr(mc, "_draw_pairs", lambda *args, ranks, **kwargs: oracles.simulate_pairs(*args, **kwargs))
         monkeypatch.setattr(mc, "binned_conditional_mean", oracles.binned_conditional_mean)
         monkeypatch.setattr(mc, "_rectangle_frequencies", oracles.rectangle_frequencies)
 
