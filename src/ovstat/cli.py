@@ -181,10 +181,9 @@ def _cmd_density(args) -> int:
     u = np.arange(1, args.grid + 1) / (args.grid + 1)
     x = np.asarray(model.quantile(u), dtype=float)
     meta = {"spec": spec, "model": model.name, "total_mass": f"{mass:.12g}"}
+    cont = dens.continuous(x[:, None], x[None, :])
     rows = [("x", "y", "continuous")]
-    for xv in x:
-        cont = dens.continuous(np.full_like(x, xv), x)
-        rows += [(f"{xv:.12g}", f"{yv:.12g}", f"{cv:.12g}") for yv, cv in zip(x, cont)]
+    rows += [(f"{xv:.12g}", f"{yv:.12g}", f"{cv:.12g}") for xv, row in zip(x, cont) for yv, cv in zip(x, row)]
     _write_csv(args.out, _header("pooled-os-mixture-density", meta), rows)
     atom_rows = [("x", "atom")]
     atom_vals = dens.atom(x)

@@ -491,14 +491,13 @@ def verify_spec(
     )
 
     levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
-    cuts = [float(model.quantile(uu)) for uu in levels]
+    cuts = np.asarray(model.quantile(levels), dtype=float)
     frequencies = _rectangle_frequencies(sample.x, sample.y, cuts, cuts)
-    for a, (uu, x0) in enumerate(zip(levels, cuts)):
-        for b, (vv, y0) in enumerate(zip(levels, cuts)):
-            p = rectangle_probability(spec, model, x0, y0)
-            emp = float(frequencies[a, b])
-            se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
-            comparisons.append(Comparison(f"rect[u={uu:.3f},v={vv:.3f}]", p, emp, se))
+    probs = rectangle_probability(spec, model, cuts[:, None], cuts[None, :])
+    for a, b in np.ndindex(probs.shape):
+        p, emp = float(probs[a, b]), float(frequencies[a, b])
+        se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
+        comparisons.append(Comparison(f"rect[u={levels[a]:.3f},v={levels[b]:.3f}]", p, emp, se))
 
     return MCReport(
         title=f"tie table and rectangles, spec {spec}",

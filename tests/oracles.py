@@ -3,8 +3,9 @@
 Each oracle computes a quantity of the library by a second, independent
 route: counting over all permutations, mixing over the pooled rank
 directly, or the per-cell closed form with one ``math.comb`` per binomial
-that the one-pass table build replaces.  The enumerations are exact but
-factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
+that the one-pass table build replaces, and the per-rank-pair trinomial
+sum that the rectangle law's matrix form replaces.  The enumerations are
+exact but factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
 oracles are the straightforward sort-per-row sampler and mask-based binning
 and rectangle counts, which the blocked kernels in ``ovstat.mc`` must
 reproduce bit for bit.  The reconstruction oracles are the scipy versions of the adjacent-gap route
@@ -30,7 +31,7 @@ from ovstat.combinatorics import CountParams, binom
 from ovstat.curve import Curve
 from ovstat.mc import BinnedMeans, PairSample, _chunk_ranges
 from ovstat.density import NuDensity, _assemble
-from ovstat.overlap import OverlapSpec, ProbabilityTable, marginal_rank_probability
+from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel
 from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _finish
 
@@ -193,6 +194,35 @@ def extension_density(i: int, m: int, j: int, n: int, model: ParentModel) -> NuD
         else:
             cont.append((k, j, w))
     return _assemble(model, n, cont, atoms)
+
+
+def _uniform_os_pair_cdf(k: int, ell: int, N: int, a: float, b: float) -> float:
+    """P(U_{k:N} <= a, U_{ell:N} <= b) for iid uniforms; exact trinomial sum."""
+    a = min(max(a, 0.0), 1.0)
+    b = min(max(b, 0.0), 1.0)
+    if a > b:
+        return _uniform_os_pair_cdf(ell, k, N, b, a)
+    total = 0.0
+    for s_cnt in range(k, N + 1):
+        inner = 0.0
+        for t_cnt in range(max(s_cnt, ell), N + 1):
+            inner += (
+                binom(N - s_cnt, t_cnt - s_cnt)
+                * (b - a) ** (t_cnt - s_cnt)
+                * (1.0 - b) ** (N - t_cnt)
+            )
+        total += binom(N, s_cnt) * a**s_cnt * inner
+    return total
+
+
+def rectangle_probability(spec: OverlapSpec, model: ParentModel, x: float, y: float) -> float:
+    """P(first os <= x, second os <= y) as the mixture over the table's rank
+    pairs, each weight times the joint cdf of the two pooled uniform os's."""
+    a = float(model.cdf(x))
+    b = float(model.cdf(y))
+    N = spec.pooled_size
+    cells = cached_table(spec).nonzero().items()
+    return sum(float(p) * _uniform_os_pair_cdf(k, ell, N, a, b) for (k, ell), p in cells)
 
 
 def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, index: int):

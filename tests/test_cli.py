@@ -5,7 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from ovstat import parent
 from ovstat.cli import main
+from ovstat.density import overlap_density
+from ovstat.overlap import OverlapSpec
 
 
 def read_rows(path):
@@ -88,6 +91,28 @@ def test_density_identical_samples_continuous_zero(tmp_path):
     ) == 0
     rows = read_rows(out)
     assert all(float(r[2]) == 0.0 for r in rows[1:])
+
+
+@pytest.mark.parametrize(
+    "family, model",
+    [
+        (["exponential"], parent.exponential()),
+        (["logistic"], parent.logistic()),
+        (["cb", "--params", "alpha=0.95,beta=0.95"], parent.complementary_beta(0.95, 0.95)),
+    ],
+    ids=["exponential", "logistic", "cb"],
+)
+def test_density_grid_equals_per_row_construction(tmp_path, family, model):
+    out = tmp_path / "dens.csv"
+    argv = ["density", "--r", "2", "--m", "4", "--n", "5", "--i", "2", "--j", "3", "--grid", "9", "--out", str(out)]
+    assert main(argv + ["--family", *family]) == 0
+    dens = overlap_density(OverlapSpec(2, 4, 5, 2, 3), model)
+    x = np.asarray(model.quantile(np.arange(1, 10) / 10), dtype=float)
+    want = [["x", "y", "continuous"]]
+    for xv in x:
+        cont = dens.continuous(np.full_like(x, xv), x)
+        want += [[f"{xv:.12g}", f"{yv:.12g}", f"{cv:.12g}"] for yv, cv in zip(x, cont)]
+    assert read_rows(out) == want
 
 
 def test_regress_identity(tmp_path):

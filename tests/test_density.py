@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
+from scipy.stats import binom
 
 from ovstat import parent
 from ovstat.density import (
@@ -14,10 +17,21 @@ from ovstat.density import (
 )
 from ovstat.overlap import OverlapSpec, probability_table
 
+import oracles
 from oracles import extension_density
 
 UNI = parent.uniform()
 EXP = parent.exponential()
+INF = math.inf
+SMALL_SPECS = [
+    OverlapSpec(r, m, n, i, j)
+    for r in range(4)
+    for m in range(1, 7)
+    for n in range(1, 7)
+    if r < m <= n + r
+    for i in range(1, m + 1)
+    for j in range(1, n + 1)
+]
 
 
 def test_marginal_os_density_examples():
@@ -169,3 +183,81 @@ def test_extension_density_validation():
         extension_density(2, 1, 1, 2, UNI)
     with pytest.raises(ValueError):
         extension_density(1, 3, 1, 2, UNI)
+
+
+# -- the rectangle law against the per-rank-pair trinomial sum ---------------
+
+# uniform levels: a = b, a > b, a < b, cdf 0 and 1 at finite and infinite levels
+RECT_PAIRS = np.array(
+    [(0.3, 0.3), (0.7, 0.2), (0.2, 0.7), (0.0, 0.5), (0.45, 1.0), (INF, 0.4), (-INF, 0.5), (INF, INF), (1.0, 0.0)]
+).T
+
+
+def test_rectangle_probability_matches_reference_on_small_specs():
+    assert len(SMALL_SPECS) == 1196
+    worst = 0.0
+    for spec in SMALL_SPECS:
+        got = rectangle_probability(spec, UNI, *RECT_PAIRS)
+        want = [oracles.rectangle_probability(spec, UNI, x, y) for x, y in RECT_PAIRS.T]
+        worst = max(worst, float(np.max(np.abs(got - want))))
+    assert worst <= 1e-13
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SMALL_SPECS),
+    st.sampled_from([UNI, EXP, parent.logistic()]),
+    st.floats(-40.0, 40.0),
+    st.floats(-40.0, 40.0),
+)
+def test_rectangle_probability_matches_reference_at_random_levels(spec, model, x, y):
+    got = rectangle_probability(spec, model, x, y)
+    assert abs(got - oracles.rectangle_probability(spec, model, x, y)) <= 1e-13
+
+
+@pytest.mark.parametrize("spec", [OverlapSpec(20, 50, 50, 25, 25), OverlapSpec(40, 80, 50, 40, 30)], ids=["N70", "N90"])
+def test_rectangle_probability_matches_reference_at_large_n(spec):
+    model = parent.logistic()
+    for x, y in [(0.0, 0.0), (0.3, -0.2), (-0.4, 0.5), (-1.0, INF)]:
+        got = rectangle_probability(spec, model, x, y)
+        assert abs(got - oracles.rectangle_probability(spec, model, x, y)) <= 1e-13
+
+
+def test_rectangle_grid_equals_scalar_calls():
+    model = parent.complementary_beta(0.5, 1.5)
+    xs = np.concatenate([[-INF], model.quantile(np.arange(1, 6) / 6), [INF]])
+    for spec in [OverlapSpec(1, 3, 3, 2, 2), OverlapSpec(2, 4, 5, 3, 1), OverlapSpec(1, 30, 30, 15, 15)]:
+        grid = rectangle_probability(spec, model, xs[:, None], xs[None, :])
+        assert grid.shape == (7, 7)
+        for a, x in enumerate(xs):
+            for b, y in enumerate(xs):
+                scalar = rectangle_probability(spec, model, x, y)
+                assert type(scalar) is float and scalar == grid[a, b]
+
+
+@pytest.mark.parametrize(
+    "spec", [OverlapSpec(40, 100, 150, 50, 70), OverlapSpec(2, 1000, 1000, 500, 499)], ids=["N190", "N1002"]
+)
+def test_rectangle_margins_and_swap_at_large_n(spec):
+    model = parent.logistic()
+    levels = np.array([0.49, 0.505])
+    x, y = model.quantile(levels), model.quantile(levels[::-1])
+    # rows: the first margin, the second margin, one interior corner per column
+    xs, ys = np.array([x, [INF, INF], x]), np.array([[INF, INF], x, y])
+    got = rectangle_probability(spec, model, xs, ys)
+    assert np.all(np.isfinite(got))
+    # each margin is a one-sample binomial tail in F(x)
+    assert np.max(np.abs(got[0] - binom.sf(spec.i - 1, spec.m, levels))) <= 1e-12
+    assert np.max(np.abs(got[1] - binom.sf(spec.j - 1, spec.n, levels))) <= 1e-12
+    # reading the pooled sequence backwards exchanges the two order statistics
+    assert np.max(np.abs(rectangle_probability(spec.swapped(), model, ys, xs) - got)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", [EXP, parent.logistic(), parent.complementary_beta(0.5, 1.5)], ids=lambda m: m.name)
+def test_rectangle_probability_refuses_nan(model):
+    spec = OverlapSpec(1, 2, 2, 1, 1)
+    for x, y in [(math.nan, 0.3), (0.3, math.nan), (np.array([0.1, math.nan]), 0.3)]:
+        with pytest.raises(ValueError, match="nan"):
+            rectangle_probability(spec, model, x, y)
+    # infinite levels stay valid: the margins are taken at +inf
+    assert rectangle_probability(spec, model, INF, INF) == pytest.approx(1.0, abs=1e-15)
