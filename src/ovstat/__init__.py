@@ -19,11 +19,9 @@ from .density import (
     rectangle_probability,
 )
 from .mc import (
-    BinnedMeans,
     Comparison,
     MCReport,
     PairSample,
-    binned_conditional_mean,
     empirical_tie_table,
     identity_regression_comparison,
     regression_comparison,
@@ -129,12 +127,10 @@ __all__ = [
     "quantile_from_linear_regression",
     # Monte Carlo
     "PairSample",
-    "BinnedMeans",
     "Comparison",
     "MCReport",
     "simulate_pairs",
     "empirical_tie_table",
-    "binned_conditional_mean",
     "verify_spec",
     "regression_comparison",
     "identity_regression_comparison",

@@ -210,11 +210,13 @@ def nu_total_mass(d: NuDensity, tol: float = 1e-6) -> float:
 def rectangle_probability(spec: OverlapSpec, model: ParentModel, x, y) -> float | np.ndarray:
     """P(first os <= x, second os <= y) = sum_{s,t} P(S_F(x) = s, S_F(y) = t) C[s, t],
     C the table's 2-D cumulative sum.  x and y broadcast (a grid of E cells holds
-    E (N+1)^2 floats); scalars give a float; a nan level raises ``ValueError``."""
+    E (N+1)^2 floats); scalars give a float; a nan level, or N above 1029, raises ``ValueError``."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if np.isnan(x).any() or np.isnan(y).any():
         raise ValueError("rectangle levels must not be nan")
     N = spec.pooled_size
+    if N > 1029:
+        raise ValueError(f"rectangle probabilities need N <= 1029, where C(N, N/2) is a finite float; got N = {N}")
     cells = cached_table(spec).entries
     dense = np.zeros((N + 1, N + 1))
     dense[tuple(zip(*cells))] = [float(p) for p in cells.values()]

@@ -1,9 +1,9 @@
 """Monte Carlo verification of the analytic formulas.
 
-Replicates draw a pooled iid sample, read off the two overlapping-sample
-order statistics, and record both their values and the pooled ranks they
-realise.  Ties between the two os's are detected through rank identity, never
-through floating-point equality of simulated reals.
+Replicates draw a pooled iid sample and read off the two overlapping-sample
+order statistics, their values and the pooled ranks they realise.  Ties
+between the two os's are detected through rank identity, never through
+floating-point equality of simulated reals.
 
 Streams are counter-based (Philox) and chunked with a fixed chunk size: chunk
 c of a run with seed s always uses the (s, c) key.  A chunk is drawn in
@@ -11,27 +11,30 @@ blocks of 2^15 rows, and its blocks are cut into one run of consecutive
 blocks per worker.  A run that starts at block b advances the (s, c) counter
 b * 2^13 * N steps, so every block is the same slice of the chunk's stream
 as in one whole-chunk draw.  The runs of all chunks are the work items of a
-thread pool (``workers``); each writes its slice of preallocated outputs, so
-aggregates are bit-identical for any worker count, and a one-chunk draw
-runs on every worker.
+thread pool (``workers``), and a one-chunk draw runs on every worker.  A run
+draws into one reused block of rows and one of columns.
 
 Per block, the i-th of m values comes from a compare-exchange network pruned
 to that output, run on the block's contiguous columns, or from sorting the
 rows where the network would be the slower; ranks count the other sample's
-draws only; the parent quantile runs on the block while it is in cache.  For
-a given seed and chunk size the samples, and every report built on them, are
-those of one whole-chunk draw with row sorts and full rank counts (unless
-two draws of one row are equal, which has probability below N^2 / 2^54).
+draws only; the parent quantile runs on the block while it is in cache.
+Each block then goes through a reducer, whose small partial is stored at the
+block's index; the partials are summed in block order, so every report is
+bit-identical for any worker count.  `simulate_pairs` writes the block into
+its output slices; `verify_spec` keeps the rank-pair counts and the
+rectangle-grid cell counts; the regression checks keep per-bin counts and
+sums.  For a given seed and chunk size the samples and the `verify_spec`
+reports are those of one whole-chunk draw with row sorts and full rank
+counts (unless two draws of one row are equal, which has probability below
+N^2 / 2^54).  No report stores the sample.
 
-Binning takes its quantile edges from one sorted copy of the conditioner,
-drops it, and streams the pairs in the same blocks.  A pair's slot comes from
-an exact bucket table (values and edges share one monotone map onto
-``_BUCKETS`` buckets, so only the edges in the value's bucket are searched);
-counts come from ``bincount`` and the five per-bin sums from ``np.add.at``
-into one running accumulator.  Both add in sample order from 0.0, so the
-binned means are bit for bit those of one whole-sample ``bincount``.  On a
-2-vCPU host 10^7 pairs bin in about 0.6 s, and the binning needs the sorted
-copy (80 MB) and a few block-sized arrays beyond the sample.
+The regression checks bin the pairs by the level F(Y) of the conditioner
+Y, the j-th os of n draws, so F(Y) ~ Beta(j, n - j + 1): the bin edges are
+the Beta law's quantiles at equal probability steps across the trim range,
+fixed before any draw.  A bin's expected value is the bin average of the
+curve, integrated over the bin's levels, so it has no curvature bias.  On a
+2-vCPU host, 10^7 draws of the regression check take about 0.7 s on
+two workers, and a check's memory is a few block-sized arrays per worker.
 """
 
 from __future__ import annotations
@@ -45,19 +48,18 @@ from typing import Callable
 
 import numpy as np
 
-from .density import rectangle_probability
+from .combinatorics import pascal_rows
+from .density import _gl_nodes, _os_kernel, rectangle_probability
 from .overlap import OverlapSpec, cached_table
 from .parent import U_MIN, ParentModel
 from .regression import mean_original_given_extended
 
 __all__ = [
     "PairSample",
-    "BinnedMeans",
     "Comparison",
     "MCReport",
     "simulate_pairs",
     "empirical_tie_table",
-    "binned_conditional_mean",
     "verify_spec",
     "regression_comparison",
     "identity_regression_comparison",
@@ -69,9 +71,6 @@ DEFAULT_CHUNK = 1_000_000
 _BLOCK_ROWS = 1 << 15
 # minimum/maximum calls per block above which sorting the rows is faster
 _MAX_NETWORK_OPS = 160
-# buckets of the binning's slot lookup: with the default 51 edges over the
-# trimmed range, a bucket rarely holds more than one
-_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -161,37 +160,83 @@ def _block_generator(seed: int, chunk: int, block: int, N: int) -> np.random.Gen
     return np.random.Generator(bit_generator)
 
 
-def _simulate_run(
-    spec: OverlapSpec,
-    model: ParentModel,
-    seed: int,
-    chunk: int,
-    block: int,
-    x: np.ndarray,
-    y: np.ndarray,
-    rank_x: np.ndarray,
-    rank_y: np.ndarray,
-) -> None:
-    """Fill the outputs' slices as the blocks of chunk ``chunk`` from block ``block`` on.
+# reduce(rows, xu, yu, columns) -> partial: one block's rows (a slice of the
+# whole draw), the uniform levels of its two os's and its draws as columns
+Reducer = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], object]
 
-    Consecutive ``random`` calls continue the stream, so the draws are those
-    of one call for the whole chunk.
+
+def _reduce_blocks(
+    spec: OverlapSpec, count: int, seed: int, reduce: Reducer, chunk_size: int = DEFAULT_CHUNK, workers: int | None = None
+) -> list:
+    """``reduce`` of every block of ``count`` draws, in block order.
+
+    Each chunk's blocks are cut into one run per worker, and the runs of all
+    chunks are the work items of the pool.  A run draws into one reused block
+    of rows and one reused block of columns; consecutive ``random`` calls
+    continue its stream, so the draws are those of one call for the whole
+    chunk.  The partials depend on the chunk partition only, so anything
+    summed from them in this order is the same for any worker count.
     """
-    rng = _block_generator(seed, chunk, block, spec.pooled_size)
+    if count < 1:
+        raise ValueError("count must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must lie in [0, 2^64)")
     r, m, n, N = spec.r, spec.m, spec.n, spec.pooled_size
-    for lo in range(0, len(x), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(x))
-        u = rng.random((hi - lo, N))
-        columns = u.T.copy()
-        xu = _order_statistic(u[:, :m], columns[:m], spec.i)
-        yu = _order_statistic(u[:, r : r + n], columns[r : r + n], spec.j)
-        # the i-th (j-th) os's own sample holds exactly i (j) draws <= it, so
-        # only the other sample's draws are counted; this assumes the row's
-        # draws distinct
-        rank_x[lo:hi] = spec.i + np.count_nonzero(columns[m:] <= xu, axis=0)
-        rank_y[lo:hi] = spec.j + np.count_nonzero(columns[:r] <= yu, axis=0)
-        x[lo:hi] = model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN))
-        y[lo:hi] = model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN))
+    parts = max(workers or 1, 1)
+    items = []  # (chunk, first block of the run, its rows, index of its first partial)
+    partials: list = []
+    for chunk, (start, stop) in enumerate(_chunk_ranges(count, chunk_size)):
+        blocks = -(-(stop - start) // _BLOCK_ROWS)
+        firsts = sorted({blocks * k // parts for k in range(parts)})
+        bounds = [start + first * _BLOCK_ROWS for first in firsts] + [stop]
+        items += [(chunk, first, lo, hi, len(partials) + first) for first, lo, hi in zip(firsts, bounds, bounds[1:])]
+        partials += [None] * blocks
+
+    def run(item: tuple[int, int, int, int, int]) -> None:
+        chunk, block, start, stop, index = item
+        rng = _block_generator(seed, chunk, block, N)
+        size = min(stop - start, _BLOCK_ROWS)
+        row_buffer, column_buffer = np.empty((size, N)), np.empty((N, size))
+        for lo in range(start, stop, _BLOCK_ROWS):
+            hi = min(lo + _BLOCK_ROWS, stop)
+            u, columns = row_buffer[: hi - lo], column_buffer[:, : hi - lo]
+            rng.random(out=u)
+            np.copyto(columns, u.T)
+            xu = _order_statistic(u[:, :m], columns[:m], spec.i)
+            yu = _order_statistic(u[:, r : r + n], columns[r : r + n], spec.j)
+            partials[index] = reduce(slice(lo, hi), xu, yu, columns)
+            index += 1
+
+    if workers and workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, items))
+    else:
+        for item in items:
+            run(item)
+    return partials
+
+
+def _ranks(spec: OverlapSpec, columns: np.ndarray, xu: np.ndarray, yu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pooled ranks of the two os's.  The i-th (j-th) os's own sample holds
+    exactly i (j) draws <= it, so only the other sample's draws are counted;
+    this assumes the row's draws distinct."""
+    return (
+        spec.i + np.count_nonzero(columns[spec.m :] <= xu, axis=0),
+        spec.j + np.count_nonzero(columns[: spec.r] <= yu, axis=0),
+    )
+
+
+def _pair_counts(spec: OverlapSpec, columns: np.ndarray, xu: np.ndarray, yu: np.ndarray) -> np.ndarray:
+    """Counts of the rank pairs (k, ell), flat at (k - 1) * N + ell - 1."""
+    N = spec.pooled_size
+    rank_x, rank_y = _ranks(spec, columns, xu, yu)
+    return np.bincount((rank_x - 1) * N + (rank_y - 1), minlength=N * N)
+
+
+def _values(model: ParentModel, levels: np.ndarray) -> np.ndarray:
+    return model.quantile(np.clip(levels, U_MIN, 1.0 - U_MIN))
 
 
 def simulate_pairs(
@@ -210,171 +255,83 @@ def simulate_pairs(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
-    if not 0 <= seed < 2**64:
-        raise ValueError("seed must lie in [0, 2^64)")
     x, y = np.empty(count), np.empty(count)
     rank_x, rank_y = np.empty(count, dtype=np.int16), np.empty(count, dtype=np.int16)
-    # work items (chunk, first block, rows): each chunk's blocks cut into one
-    # run per worker.  Items of a single block, whose arrays are all freed at
-    # its end, let the heap shrink, and every block faulted its pages in again.
-    parts = max(workers or 1, 1)
-    items = []
-    for chunk, (start, stop) in enumerate(_chunk_ranges(count, chunk_size)):
-        blocks = -(-(stop - start) // _BLOCK_ROWS)
-        firsts = sorted({blocks * k // parts for k in range(parts)})
-        bounds = [start + first * _BLOCK_ROWS for first in firsts] + [stop]
-        items += [(chunk, first, slice(lo, hi)) for first, lo, hi in zip(firsts, bounds, bounds[1:])]
 
-    def run(item: tuple[int, int, slice]) -> None:
-        chunk, block, rows = item
-        _simulate_run(spec, model, seed, chunk, block, x[rows], y[rows], rank_x[rows], rank_y[rows])
+    def write(rows: slice, xu: np.ndarray, yu: np.ndarray, columns: np.ndarray) -> None:
+        rank_x[rows], rank_y[rows] = _ranks(spec, columns, xu, yu)
+        x[rows], y[rows] = _values(model, xu), _values(model, yu)
 
-    if workers and workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, items))
-    else:
-        for item in items:
-            run(item)
+    _reduce_blocks(spec, count, seed, write, chunk_size, workers)
     return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
+
+
+def _tie_frequencies(counts: np.ndarray, N: int, total: int) -> dict[tuple[int, int], float]:
+    """Frequencies of the observed rank pairs from their flat counts."""
+    return {(k // N + 1, k % N + 1): int(c) / total for k, c in enumerate(counts) if c}
 
 
 def empirical_tie_table(
     spec: OverlapSpec, model: ParentModel, count: int, seed: int, **kwargs
 ) -> dict[tuple[int, int], float]:
     """Empirical rank-pair frequencies; keys cover every observed pair."""
-    sample = simulate_pairs(spec, model, count, seed, **kwargs)
-    return tie_table_from_sample(sample)
+    partials = _reduce_blocks(spec, count, seed, lambda rows, xu, yu, columns: _pair_counts(spec, columns, xu, yu), **kwargs)
+    return _tie_frequencies(sum(partials), spec.pooled_size, count)
 
 
-def tie_table_from_sample(sample: PairSample) -> dict[tuple[int, int], float]:
-    N = sample.spec.pooled_size
-    flat = np.bincount(
-        (sample.rank_x.astype(np.int64) - 1) * N + (sample.rank_y.astype(np.int64) - 1),
-        minlength=N * N,
-    )
-    total = sample.count
-    out: dict[tuple[int, int], float] = {}
-    for k in range(1, N + 1):
-        for ell in range(1, N + 1):
-            c = int(flat[(k - 1) * N + (ell - 1)])
-            if c:
-                out[(k, ell)] = c / total
-    return out
+def _level_edges(spec: OverlapSpec, probabilities: np.ndarray) -> np.ndarray:
+    """Levels v with P(F(Y) <= v) = ``probabilities``, Y the second os, by bisection.
 
-
-@dataclass(frozen=True)
-class BinnedMeans:
-    """Equal-count conditional means of x given y, with per-bin standard errors."""
-
-    edges: np.ndarray
-    counts: np.ndarray
-    y_mean: np.ndarray
-    x_mean: np.ndarray
-    x_se: np.ndarray
-    diff_mean: np.ndarray  # per-bin mean of x - y, for identity-regression checks
-    diff_se: np.ndarray
-
-
-def _slot_lookup(edges: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """A function equal to ``np.searchsorted(edges, v, side="right")`` for sorted edges.
-
-    A value's bucket, floor((v - edges[0]) * scale) clipped to
-    [0, ``_BUCKETS``) with nan in one more bucket after those, is monotone in
-    v; so an edge in an earlier bucket lies at or below v, one in a later
-    bucket above it, and only the edges that share v's bucket are searched,
-    by a branchless binary search as deep as the fullest bucket needs.
-    Edges whose span the scale cannot represent (all equal, an infinite end,
-    a span that overflows) take ``np.searchsorted``.
+    F(Y) is the j-th os of n uniforms, so P(F(Y) <= v) is the binomial tail
+    P(Bin(n, v) >= j) (David & Nagaraja, *Order Statistics*, 3rd ed., 2003,
+    sec. 2.1); 0 and 1 are their own levels.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        scale = _BUCKETS / (edges[-1] - edges[0])
-    if not (math.isfinite(scale) and scale > 0):
-        return lambda v: np.searchsorted(edges, v, side="right")
-
-    def bucket(v: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            b = (v - edges[0]) * scale
-        np.clip(b, 0, _BUCKETS - 1, out=b)
-        b[np.isnan(b)] = _BUCKETS
-        return b.astype(np.intp)
-
-    edge_bucket = bucket(edges)
-    # first[b]: the edges in buckets before b.  From first[b] on, the edges
-    # at or below v are a prefix of those in v's bucket, at most
-    # 2^steps - 1 long; the nan pads, which compare false, keep every probe
-    # inside the array
-    first = np.searchsorted(edge_bucket, np.arange(_BUCKETS + 1))
-    steps = int(np.bincount(edge_bucket).max()).bit_length()
-    padded = np.concatenate((edges, np.full((1 << steps) - 1, np.nan)))
-
-    def lookup(v: np.ndarray) -> np.ndarray:
-        slot = first[bucket(v)]
-        for k in reversed(range(steps)):
-            slot += (padded[slot + ((1 << k) - 1)] <= v) * (1 << k)
-        return slot
-
-    return lookup
+    n, j = spec.n, spec.j
+    k = np.arange(j, n + 1)
+    coefficients = np.array(pascal_rows(n)[n][j:], dtype=float)
+    lo, hi = np.zeros_like(probabilities), np.ones_like(probabilities)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        v = mid[:, None]
+        below = (coefficients * v**k * (1.0 - v) ** (n - k)).sum(axis=1) < probabilities
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return np.select([probabilities <= 0.0, probabilities >= 1.0], [0.0, 1.0], hi)
 
 
 def binned_conditional_mean(
-    x: np.ndarray,
-    y: np.ndarray,
+    spec: OverlapSpec,
+    count: int,
+    seed: int,
+    statistic: Callable[[np.ndarray, np.ndarray], np.ndarray],
     bins: int = 50,
     trim: tuple[float, float] = (0.05, 0.95),
-) -> BinnedMeans:
-    """Quantile-bin y and average x within each bin, restricted to the trim range.
+    **sim_kwargs,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and standard error of ``statistic(xu, yu)`` per level bin of the second os.
 
-    The edges come from one sorted copy of y; the pairs are then binned and
-    summed ``_BLOCK_ROWS`` at a time, every sum added in sample order.
+    The bins hold equal probability between the population quantiles
+    ``trim`` of the second os Y: bin b is the levels [edges[b], edges[b+1])
+    of F(Y).  Each block is reduced to its per-bin count and sums of the
+    statistic and its square; returns (edges, counts, means, standard errors).
     """
     if bins < 10:
         raise ValueError("need at least 10 bins")
     lo, hi = trim
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("trim must be an increasing pair inside [0, 1]")
-    if len(x) != len(y):
-        raise ValueError("x and y must have the same length")
-    edges = np.quantile(np.sort(y), np.linspace(lo, hi, bins + 1), overwrite_input=True)
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("bin edges are not finite; narrow the trim to keep the infinite or nan values of y outside them")
-    lookup = _slot_lookup(edges)
-    counts = np.zeros(bins + 2, dtype=np.intp)
-    # sums of x, x^2, y, x - y and (x - y)^2 per slot
-    sums = np.zeros((5, bins + 2))
-    for start in range(0, len(y), _BLOCK_ROWS):
-        xb, yb = x[start : start + _BLOCK_ROWS], y[start : start + _BLOCK_ROWS]
-        # slot 0 takes y below the trim range and slot bins + 1 y above it (and
-        # nan); slots 1..bins are the bins, the last one closed at the top edge
-        slot = lookup(yb)
-        slot[yb == edges[-1]] = bins
-        counts += np.bincount(slot, minlength=bins + 2)
-        diff = xb - yb
-        # add.at, like bincount, adds in sample order from 0.0, so the sums are
-        # those of one bincount over the whole sample
-        for row, values in zip(sums, (xb, xb * xb, yb, diff, diff * diff)):
-            np.add.at(row, slot, values)
-    counts, sums = counts[1:-1], sums[:, 1:-1]
+    edges = _level_edges(spec, np.linspace(lo, hi, bins + 1))
+
+    def sums(rows: slice, xu: np.ndarray, yu: np.ndarray, columns: np.ndarray) -> np.ndarray:
+        # slot 0 takes the levels below the trim range, slot bins + 1 those above it
+        slot = np.searchsorted(edges, yu, side="right")
+        value = statistic(xu, yu)
+        return np.stack([np.bincount(slot, weights, minlength=bins + 2) for weights in (None, value, value * value)])
+
+    counts, total, squares = sum(_reduce_blocks(spec, count, seed, sums, **sim_kwargs))[:, 1:-1]
     if np.any(counts == 0):
         raise ValueError("empty bin; reduce the bin count or enlarge the sample")
-
-    def _mean_se(total: np.ndarray, squares: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        mean = total / counts
-        var = np.maximum(squares / counts - mean**2, 0.0)
-        return mean, np.sqrt(var / counts)
-
-    x_mean, x_se = _mean_se(sums[0], sums[1])
-    diff_mean, diff_se = _mean_se(sums[3], sums[4])
-    return BinnedMeans(
-        edges=edges,
-        counts=counts,
-        y_mean=sums[2] / counts,
-        x_mean=x_mean,
-        x_se=x_se,
-        diff_mean=diff_mean,
-        diff_se=diff_se,
-    )
+    mean = total / counts
+    return edges, counts.astype(np.int64), mean, np.sqrt(np.maximum(squares / counts - mean**2, 0.0) / counts)
 
 
 @dataclass(frozen=True)
@@ -433,12 +390,11 @@ class MCReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-def _rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.ndarray:
-    """Empirical P(X <= x_cuts[a], Y <= y_cuts[b]) for every a, b, from one cell count.
+def _rectangle_cells(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.ndarray:
+    """Counts of the pairs in each cell of the grid the sorted cuts make.
 
-    Each pair falls in one cell of the grid the sorted cuts make; the
-    rectangle counts are cumulative sums of the cell counts, exact integers,
-    divided by the sample size.
+    P(X <= x_cuts[a], Y <= y_cuts[b]) is the count in the cells up to (a, b),
+    a cumulative sum of exact integers, divided by the sample size.
     """
     width = len(y_cuts) + 1
     dtype = np.min_scalar_type((len(x_cuts) + 1) * width - 1)
@@ -452,8 +408,7 @@ def _rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.n
         return below
 
     cell = cuts_below(x, x_cuts) * width + cuts_below(y, y_cuts)
-    grid = np.bincount(cell, minlength=(len(x_cuts) + 1) * width).reshape(-1, width)
-    return grid.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(x)
+    return np.bincount(cell, minlength=(len(x_cuts) + 1) * width).reshape(-1, width)
 
 
 def verify_spec(
@@ -465,10 +420,24 @@ def verify_spec(
     rectangle_grid: int = 5,
     **sim_kwargs,
 ) -> MCReport:
-    """Compare the exact rank-pair table and rectangle probabilities with MC."""
-    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
+    """Compare the exact rank-pair table and rectangle probabilities with MC.
+
+    Each block is reduced to its rank-pair counts and its rectangle-grid cell
+    counts; no sample is stored.  N above 1029 is refused with ``ValueError``
+    (see `rectangle_probability`) before the table is built.
+    """
+    levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
+    cuts = np.asarray(model.quantile(levels), dtype=float)
+    probs = rectangle_probability(spec, model, cuts[:, None], cuts[None, :])
+
+    def counts(rows: slice, xu: np.ndarray, yu: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _pair_counts(spec, columns, xu, yu), _rectangle_cells(_values(model, xu), _values(model, yu), cuts, cuts)
+
+    partials = _reduce_blocks(spec, count, seed, counts, **sim_kwargs)
+    pairs, cells = sum(p for p, _ in partials), sum(c for _, c in partials)
+    N = spec.pooled_size
     table = cached_table(spec)
-    freqs = tie_table_from_sample(sample)
+    freqs = _tie_frequencies(pairs, N, count)
     comparisons: list[Comparison] = []
 
     support = table.nonzero()
@@ -485,15 +454,12 @@ def verify_spec(
         Comparison(
             "diagonal-mass",
             diag,
-            sample.tie_frequency(),
+            int(np.trace(pairs.reshape(N, N))) / count,
             math.sqrt(diag * (1.0 - diag) / count) if 0.0 < diag < 1.0 else 0.0,
         )
     )
 
-    levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
-    cuts = np.asarray(model.quantile(levels), dtype=float)
-    frequencies = _rectangle_frequencies(sample.x, sample.y, cuts, cuts)
-    probs = rectangle_probability(spec, model, cuts[:, None], cuts[None, :])
+    frequencies = cells.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / count
     for a, b in np.ndindex(probs.shape):
         p, emp = float(probs[a, b]), float(frequencies[a, b])
         se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
@@ -509,6 +475,10 @@ def verify_spec(
     )
 
 
+def _bin_names(edges: np.ndarray) -> list[str]:
+    return [f"bin[{b}] level=[{lo:.4f},{hi:.4f})" for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+
+
 def regression_comparison(
     spec: OverlapSpec,
     model: ParentModel,
@@ -519,18 +489,26 @@ def regression_comparison(
     zmax: float = 4.0,
     **sim_kwargs,
 ) -> MCReport:
-    """Binned conditional means of the first os given the second, against the
-    analytic regression curve evaluated at the per-bin mean of the conditioner."""
-    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
-    bm = binned_conditional_mean(sample.x, sample.y, bins=bins, trim=trim)
+    """Per-bin means of the first os given the level bin of the second, against
+    the bin average of the analytic regression curve.
+
+    The bins are equal-probability level intervals of the second os Y between
+    its population quantiles ``trim`` (`binned_conditional_mean`).  A bin's
+    analytic value is E[m(Y) | F(Y) in [lo, hi)] = bins / (trim[1] - trim[0])
+    times the integral of m(Q(v)) beta(v) over [lo, hi), beta the density of
+    F(Y), by 5-node Gauss-Legendre on each bin; so it carries no curvature
+    (Jensen) bias at any draw count.
+    """
+    edges, _, means, ses = binned_conditional_mean(
+        spec, count, seed, lambda xu, yu: _values(model, xu), bins=bins, trim=trim, **sim_kwargs
+    )
+    z, w = _gl_nodes(5)
+    width = np.diff(edges)[:, None]
+    v = edges[:-1, None] + width * z
+    curve = np.array([mean_original_given_extended(spec, model, float(q)) for q in model.quantile(v.ravel())])
+    analytic = (width * w * _os_kernel(spec.n, spec.j, v) * curve.reshape(v.shape)).sum(axis=1) * bins / (trim[1] - trim[0])
     comparisons = [
-        Comparison(
-            f"bin[{b}] y={bm.y_mean[b]:.4f}",
-            mean_original_given_extended(spec, model, float(bm.y_mean[b])),
-            float(bm.x_mean[b]),
-            float(bm.x_se[b]),
-        )
-        for b in range(bins)
+        Comparison(name, float(a), float(mean), float(se)) for name, a, mean, se in zip(_bin_names(edges), analytic, means, ses)
     ]
     return MCReport(
         title=f"binned regression, spec {spec}",
@@ -555,19 +533,12 @@ def identity_regression_comparison(
     """Check E(first os | second os) = second os via per-bin means of x - y.
 
     Under the identity regression the conditional mean of x - y vanishes in
-    every bin of y, which avoids curvature bias entirely.
+    every level bin of y, which avoids curvature bias entirely.
     """
-    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
-    bm = binned_conditional_mean(sample.x, sample.y, bins=bins, trim=trim)
-    comparisons = [
-        Comparison(
-            f"bin[{b}] y={bm.y_mean[b]:.4f}",
-            0.0,
-            float(bm.diff_mean[b]),
-            float(bm.diff_se[b]),
-        )
-        for b in range(bins)
-    ]
+    edges, _, means, ses = binned_conditional_mean(
+        spec, count, seed, lambda xu, yu: _values(model, xu) - _values(model, yu), bins=bins, trim=trim, **sim_kwargs
+    )
+    comparisons = [Comparison(name, 0.0, float(mean), float(se)) for name, mean, se in zip(_bin_names(edges), means, ses)]
     return MCReport(
         title=f"identity regression, spec {spec}",
         model_name=model.name,

@@ -6,9 +6,11 @@ directly, or the per-cell closed form with one ``math.comb`` per binomial
 that the one-pass table build replaces, and the per-rank-pair trinomial
 sum that the rectangle law's matrix form replaces.  The enumerations are
 exact but factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
-oracles are the straightforward sort-per-row sampler and mask-based binning
-and rectangle counts, which the blocked kernels in ``ovstat.mc`` must
-reproduce bit for bit.  The reconstruction oracles are the scipy versions of the adjacent-gap route
+oracles are the straightforward sort-per-row sampler, mask-based rectangle
+counts and the whole-sample ``verify_spec`` built on them, which the streamed
+kernels in ``ovstat.mc`` must reproduce bit for bit, and mask-based binning
+on the sampler's levels, which the streamed bin sums must match to rounding.
+The reconstruction oracles are the scipy versions of the adjacent-gap route
 (``quad`` per grid panel on a ``PchipInterpolator``) and of the single-draw
 slope route (``brentq`` per point).
 """
@@ -29,8 +31,8 @@ from scipy.optimize import brentq
 
 from ovstat.combinatorics import CountParams, binom
 from ovstat.curve import Curve
-from ovstat.mc import BinnedMeans, PairSample, _chunk_ranges
-from ovstat.density import NuDensity, _assemble
+from ovstat.density import NuDensity, _assemble, rectangle_probability as _rectangle_law
+from ovstat.mc import Comparison, MCReport, PairSample, _chunk_ranges, _level_edges
 from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel
 from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _finish
@@ -226,7 +228,9 @@ def rectangle_probability(spec: OverlapSpec, model: ParentModel, x: float, y: fl
 
 
 def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, index: int):
-    """One chunk of the sort-per-row sampler: whole-row sorts and N-column rank counts."""
+    """One chunk of the sort-per-row sampler: whole-row sorts and N-column rank counts.
+
+    Returns x, y, their ranks and the level of y (its uniform before the quantile)."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
@@ -238,7 +242,7 @@ def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, 
     rank_y = (u <= yu[:, None]).sum(axis=1).astype(np.int16)
     x = np.asarray(model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN)), dtype=float)
     y = np.asarray(model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN)), dtype=float)
-    return x, y, rank_x, rank_y
+    return x, y, rank_x, rank_y, yu
 
 
 def simulate_pairs(
@@ -255,68 +259,104 @@ def simulate_pairs(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    ranges = _chunk_ranges(count, chunk_size)
-    sizes = [hi - lo for lo, hi in ranges]
-    parts = [simulate_chunk(spec, model, size, seed, idx) for idx, size in enumerate(sizes)]
-    x = np.concatenate([p[0] for p in parts])
-    y = np.concatenate([p[1] for p in parts])
-    rank_x = np.concatenate([p[2] for p in parts])
-    rank_y = np.concatenate([p[3] for p in parts])
+    x, y, rank_x, rank_y, _ = _whole_sample(spec, model, count, seed, chunk_size)
     return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
 
 
-def binned_conditional_mean(
-    x: np.ndarray,
-    y: np.ndarray,
+def _whole_sample(spec, model, count, seed, chunk_size):
+    parts = [simulate_chunk(spec, model, hi - lo, seed, idx) for idx, (lo, hi) in enumerate(_chunk_ranges(count, chunk_size))]
+    return [np.concatenate(column) for column in zip(*parts)]
+
+
+def level_binned_means(
+    spec: OverlapSpec,
+    model: ParentModel,
+    count: int,
+    seed: int,
+    difference: bool = False,
     bins: int = 50,
     trim: tuple[float, float] = (0.05, 0.95),
-) -> BinnedMeans:
-    """Quantile-bin y and average x within each bin, restricted to the trim range.
+    chunk_size: int = 1_000_000,
+):
+    """Count, mean and standard error of x (or of x - y) per level bin of y, one mask per bin.
 
-    Masks the trimmed pairs out and bins the kept copies.
+    Bin b holds the draws whose level of y lies in [edges[b], edges[b+1]).
     """
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
-    lo, hi = trim
-    if not 0.0 <= lo < hi <= 1.0:
-        raise ValueError("trim must be an increasing pair inside [0, 1]")
-    edges = np.quantile(y, np.linspace(lo, hi, bins + 1))
-    if not np.all(np.isfinite(edges)):
-        raise ValueError("bin edges are not finite; narrow the trim to keep the infinite or nan values of y outside them")
-    keep = (y >= edges[0]) & (y <= edges[-1])
-    ys = y[keep]
-    xs = x[keep]
-    idx = np.clip(np.searchsorted(edges, ys, side="right") - 1, 0, bins - 1)
-    counts = np.bincount(idx, minlength=bins)
-    if np.any(counts == 0):
-        raise ValueError("empty bin; reduce the bin count or enlarge the sample")
-    diff = xs - ys
-
-    def _mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s1 = np.bincount(idx, weights=values, minlength=bins)
-        s2 = np.bincount(idx, weights=values * values, minlength=bins)
-        mean = s1 / counts
-        var = np.maximum(s2 / counts - mean**2, 0.0)
-        return mean, np.sqrt(var / counts)
-
-    x_mean, x_se = _mean_se(xs)
-    y_mean, _ = _mean_se(ys)
-    diff_mean, diff_se = _mean_se(diff)
-    return BinnedMeans(
-        edges=edges,
-        counts=counts,
-        y_mean=y_mean,
-        x_mean=x_mean,
-        x_se=x_se,
-        diff_mean=diff_mean,
-        diff_se=diff_se,
-    )
+    x, y, _, _, yu = _whole_sample(spec, model, count, seed, chunk_size)
+    values = x - y if difference else x
+    edges = _level_edges(spec, np.linspace(*trim, bins + 1))
+    counts, means, ses = [], [], []
+    for lo, hi in zip(edges, edges[1:]):
+        kept = values[(yu >= lo) & (yu < hi)]
+        counts.append(len(kept))
+        means.append(kept.mean())
+        ses.append(kept.std() / math.sqrt(len(kept)))
+    return edges, np.array(counts), np.array(means), np.array(ses)
 
 
 def rectangle_frequencies(x: np.ndarray, y: np.ndarray, x_levels, y_levels) -> np.ndarray:
     """Empirical P(X <= x0, Y <= y0) on a grid, one mask per rectangle."""
     return np.array(
         [[float(np.mean((x <= x0) & (y <= y0))) for y0 in y_levels] for x0 in x_levels]
+    )
+
+
+def verify_spec(
+    spec: OverlapSpec,
+    model: ParentModel,
+    count: int = 10**6,
+    seed: int = 0,
+    zmax: float = 4.0,
+    rectangle_grid: int = 5,
+    **sim_kwargs,
+) -> MCReport:
+    """`ovstat.mc.verify_spec` over a stored sample of the sort-per-row sampler.
+
+    The tie table comes from one ``bincount`` of the sample's rank pairs and
+    the rectangles from one mask each.
+    """
+    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
+    table = cached_table(spec)
+    N = spec.pooled_size
+    flat = np.bincount((sample.rank_x.astype(np.int64) - 1) * N + (sample.rank_y.astype(np.int64) - 1), minlength=N * N)
+    freqs = {(k, ell): int(flat[(k - 1) * N + (ell - 1)]) / count for k in range(1, N + 1) for ell in range(1, N + 1) if flat[(k - 1) * N + (ell - 1)]}
+    comparisons: list[Comparison] = []
+
+    support = table.nonzero()
+    for (k, ell), p in sorted(support.items()):
+        pf = float(p)
+        emp = freqs.get((k, ell), 0.0)
+        se = math.sqrt(pf * (1.0 - pf) / count)
+        comparisons.append(Comparison(f"tie[k={k},ell={ell}]", pf, emp, se))
+    violations = sum(f for kl, f in freqs.items() if kl not in support)
+    comparisons.append(Comparison("support-violations", 0.0, violations, 0.0))
+
+    diag = float(table.diagonal_mass())
+    comparisons.append(
+        Comparison(
+            "diagonal-mass",
+            diag,
+            sample.tie_frequency(),
+            math.sqrt(diag * (1.0 - diag) / count) if 0.0 < diag < 1.0 else 0.0,
+        )
+    )
+
+    levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
+    cuts = np.asarray(model.quantile(levels), dtype=float)
+    frequencies = rectangle_frequencies(sample.x, sample.y, cuts, cuts)
+    probs = _rectangle_law(spec, model, cuts[:, None], cuts[None, :])
+    for a, b in np.ndindex(probs.shape):
+        p, emp = float(probs[a, b]), float(frequencies[a, b])
+        se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
+        comparisons.append(Comparison(f"rect[u={levels[a]:.3f},v={levels[b]:.3f}]", p, emp, se))
+
+    return MCReport(
+        title=f"tie table and rectangles, spec {spec}",
+        model_name=model.name,
+        sample_count=count,
+        seed=seed,
+        zmax=zmax,
+        comparisons=comparisons,
     )
 
 

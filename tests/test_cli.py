@@ -224,6 +224,17 @@ def test_verify_refuses_negative_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_verify_refuses_n_above_1029(monkeypatch, capsys):
+    def no_table(spec):
+        raise AssertionError("the table was built before the refusal")
+
+    for module in ("ovstat.mc", "ovstat.density"):
+        monkeypatch.setattr(f"{module}.cached_table", no_table)
+    args = ["verify", "--r", "0", "--m", "1", "--n", "1030", "--i", "1", "--j", "1", "--family", "exponential", "--reps", "1000"]
+    assert main(args) == 2
+    assert "1029" in capsys.readouterr().err
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"r": 1, "m": 2, "n": 2, "i": 1, "j": 2}))

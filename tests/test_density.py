@@ -261,3 +261,14 @@ def test_rectangle_probability_refuses_nan(model):
             rectangle_probability(spec, model, x, y)
     # infinite levels stay valid: the margins are taken at +inf
     assert rectangle_probability(spec, model, INF, INF) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_rectangle_probability_refuses_n_above_1029(monkeypatch):
+    # at N = 1030 the largest binomial C(N, N/2) overflows a float, and the
+    # law's construction raised a bare OverflowError after the table was built
+    def no_table(spec):
+        raise AssertionError("the table was built before the refusal")
+
+    monkeypatch.setattr("ovstat.density.cached_table", no_table)
+    with pytest.raises(ValueError, match="1029"):
+        rectangle_probability(OverlapSpec(0, 1, 1030, 1, 1), EXP, 0.5, 0.7)

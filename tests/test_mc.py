@@ -1,17 +1,17 @@
 import math
 import random
-import re
 import sys
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from scipy import stats as scipy_stats
+from scipy.integrate import IntegrationWarning, quad
 
 import oracles
 from ovstat import mc, parent
+from ovstat.density import overlap_density
 from ovstat.mc import (
     binned_conditional_mean,
     empirical_tie_table,
@@ -21,6 +21,7 @@ from ovstat.mc import (
     verify_spec,
 )
 from ovstat.overlap import OverlapSpec, probability_table
+from ovstat.regression import mean_original_given_extended
 
 UNI = parent.uniform()
 
@@ -87,16 +88,20 @@ def test_verify_spec_failure_with_tiny_threshold():
     assert not rep.passed
 
 
+def _difference(xu, yu):
+    return xu - yu
+
+
 def test_binned_conditional_mean_identity():
-    rng = np.random.default_rng(0)
-    y = rng.random(100_000)
-    bm = binned_conditional_mean(y, y, bins=20, trim=(0.1, 0.9))
-    assert np.allclose(bm.diff_mean, 0.0)
-    assert np.all(bm.counts > 0)
-    with pytest.raises(ValueError):
-        binned_conditional_mean(y, y, bins=5)
-    with pytest.raises(ValueError):
-        binned_conditional_mean(y[:5], y[:5], bins=10, trim=(0.0, 1.0))
+    spec = OverlapSpec(0, 4, 4, 3, 3)  # both os's are the same draw
+    edges, counts, means, ses = binned_conditional_mean(spec, 100_000, 0, _difference, bins=20, trim=(0.1, 0.9))
+    assert np.all(means == 0.0) and np.all(ses == 0.0)
+    assert np.all(counts > 0) and len(edges) == 21
+    with pytest.raises(ValueError, match="10 bins"):
+        binned_conditional_mean(spec, 100_000, 0, _difference, bins=5)
+    for trim in [(0.5, 0.5), (0.2, 0.1), (-0.1, 0.9), (0.1, 1.5)]:
+        with pytest.raises(ValueError, match="trim"):
+            binned_conditional_mean(spec, 100_000, 0, _difference, bins=10, trim=trim)
 
 
 def test_regression_comparison_uniform():
@@ -241,170 +246,161 @@ def test_selection_network_picks_every_order_statistic(m, monkeypatch):
             assert np.array_equal(mc._order_statistic(rows, columns, i), ordered[:, i - 1]), (m, i, limit)
 
 
-# -- one-pass binning against the masking oracle -----------------------------
-
-BM_FIELDS = ("edges", "counts", "y_mean", "x_mean", "x_se", "diff_mean", "diff_se")
+# -- level binning against the masking oracle and the known law -------------
 
 
-def _assert_same_bins(x, y, bins, trim):
-    got = binned_conditional_mean(x, y, bins=bins, trim=trim)
-    want = oracles.binned_conditional_mean(x, y, bins=bins, trim=trim)
-    for f in BM_FIELDS:
-        assert np.array_equal(getattr(got, f), getattr(want, f)), f
-    return got
-
-
-def test_binned_means_match_oracle_on_mc_sample():
-    sample = simulate_pairs(OverlapSpec(1, 3, 3, 2, 2), parent.exponential(), 300_000, seed=8)
-    for bins, trim in [(50, (0.05, 0.95)), (12, (0.2, 0.8)), (25, (0.0, 1.0))]:
-        _assert_same_bins(sample.x, sample.y, bins, trim)
-
-
-def test_binned_means_top_edge_and_ties():
-    rng = np.random.default_rng(5)
-    y = np.round(rng.exponential(size=200_000), 2)
-    x = y + rng.normal(size=y.size)
-    # heavy ties: many y sit exactly on an edge, the top one included
-    bm = _assert_same_bins(x, y, 10, (0.05, 0.95))
-    assert np.count_nonzero(y == bm.edges[-1]) >= 50
-    # trim (0, 1): the top edge is the sample maximum, which the last bin keeps
-    bm = _assert_same_bins(x, y, 10, (0.0, 1.0))
-    assert bm.counts.sum() == y.size
-    y_top = np.where(y > 3.0, 3.0, y)  # the top 5% collapse onto one value
-    bm = _assert_same_bins(x, y_top, 10, (0.1, 0.99))
-    assert bm.edges[-1] == 3.0
+def test_level_edges_invert_the_beta_law():
+    # F(Y) of the j-th os of n draws is Beta(j, n - j + 1)
+    for spec in [OverlapSpec(1, 3, 3, 2, 2), OverlapSpec(0, 1, 2, 1, 1), OverlapSpec(2, 5, 7, 3, 7), OverlapSpec(0, 3, 4, 2, 3)]:
+        p = np.linspace(0.0, 1.0, 41)
+        edges = mc._level_edges(spec, p)
+        assert edges[0] == 0.0 and edges[-1] == 1.0 and np.all(np.diff(edges) > 0)
+        want = scipy_stats.beta.ppf(p[1:-1], spec.j, spec.n - spec.j + 1)
+        assert np.allclose(edges[1:-1], want, rtol=1e-13, atol=1e-15), spec
 
 
 def test_binned_means_empty_bin_still_refused():
-    y = np.repeat([0.0, 1.0], 5_000)
-    for fn in (binned_conditional_mean, oracles.binned_conditional_mean):
-        with pytest.raises(ValueError, match="empty bin"):
-            fn(y, y, bins=10, trim=(0.0, 1.0))
+    spec = OverlapSpec(1, 3, 3, 2, 2)
+    with pytest.raises(ValueError, match="empty bin"):
+        binned_conditional_mean(spec, 5, 0, _difference, bins=10, trim=(0.0, 1.0))
 
 
-def _edge_neighbours(edges):
-    return np.concatenate((edges, np.nextafter(edges, np.inf), np.nextafter(edges, -np.inf)))
+BINNING_CASES = [
+    (OverlapSpec(1, 3, 3, 2, 2), "exponential", 300_000, 10**6, 1),
+    (OverlapSpec(2, 4, 5, 3, 1), "cb", 3 * mc._BLOCK_ROWS + 7, 40_000, 2),
+    (OverlapSpec(0, 1, 2, 1, 1), "uniform", 90_001, 30_000, 3),
+]
 
 
-@given(
-    base=st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=60),
-    repeats=st.lists(st.integers(1, 4), min_size=60, max_size=60),
-    magnitude=st.sampled_from([1.0, 1e-300, 1e300]),
-    ends=st.sampled_from([(), (-math.inf,), (math.inf,), (-math.inf, math.inf)]),
-    values=st.lists(
-        st.one_of(
-            st.floats(-5.0, 5.0),
-            st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 1.7e308, -1.7e308, 5e-324]),
-        ),
-        max_size=40,
-    ),
-)
-@settings(max_examples=300, deadline=None)
-def test_slot_lookup_equals_searchsorted(base, repeats, magnitude, ends, values):
-    # sorted edges with repeats (all equal when base has one value), spans of
-    # about 1e-300, 1 and 1e300, and optionally infinite ends
-    edges = np.sort(np.concatenate((np.repeat(base, repeats[: len(base)]) * magnitude, ends)))
-    with np.errstate(over="ignore"):
-        v = np.concatenate((np.array(values) * magnitude, np.array(values), _edge_neighbours(edges)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        slots = mc._slot_lookup(edges)(v)
-    assert np.array_equal(slots, np.searchsorted(edges, v, side="right"))
+def test_binned_means_match_oracle_on_mc_sample():
+    for spec, name, count, chunk_size, workers in BINNING_CASES:
+        model = PARENTS[name]
+        statistics = {False: lambda xu, yu: mc._values(model, xu), True: lambda xu, yu: mc._values(model, xu) - mc._values(model, yu)}
+        for bins, trim in [(50, (0.05, 0.95)), (12, (0.2, 0.8)), (10, (0.0, 1.0))]:
+            for difference, statistic in statistics.items():
+                case = (spec, name, bins, trim, difference)
+                got = binned_conditional_mean(spec, count, 8, statistic, bins=bins, trim=trim, chunk_size=chunk_size, workers=workers)
+                want = oracles.level_binned_means(spec, model, count, 8, difference, bins=bins, trim=trim, chunk_size=chunk_size)
+                assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), case
+                assert np.allclose(got[2], want[2], rtol=1e-12, atol=1e-12), case
+                assert np.allclose(got[3], want[3], rtol=1e-9, atol=1e-15), case
+                if trim == (0.0, 1.0):
+                    assert got[1].sum() == count, case
 
 
-def test_slot_lookup_compares_within_buckets():
-    # crowded buckets (edges one ulp apart, and one edge repeated past 2^8
-    # times, so the search takes 9 steps) next to sparse ones
-    edges = np.sort(np.concatenate(([0.0, 1.0, 3.0], 0.5 + np.arange(8) * np.spacing(0.5), [2.0] * 300)))
-    lookup = mc._slot_lookup(edges)
-    assert lookup.__name__ == "lookup"  # the bucket path, not the search
-    v = np.concatenate((_edge_neighbours(edges), np.linspace(-1.0, 4.0, 10_001), [math.nan, math.inf, -math.inf, -0.0]))
-    assert np.array_equal(lookup(v), np.searchsorted(edges, v, side="right"))
+def _bin_reference(spec, model, lo, hi):
+    """E[X; F(Y) in [lo, hi)] and E[Y; F(Y) in [lo, hi)] from the nu-density, by quad.
+
+    In levels (u, v) = (F(x), F(y)) the nu-density is that of the uniform
+    parent.  Its continuous part is integrated over v first, by Gauss-Legendre
+    on each side of the diagonal (a polynomial there), and then against Q(u)
+    by ``quad``, split where the diagonal enters and leaves the bin; the atom
+    adds the integral of Q(v) times its density.
+    """
+    levels = overlap_density(spec, UNI)
+    z, w = np.polynomial.legendre.leggauss(20)
+    z, w = 0.5 * (z + 1.0), 0.5 * w
+
+    def across_bin(u):
+        total = 0.0
+        for a, b in ((lo, min(hi, u)), (max(lo, u), hi)):
+            if b > a:
+                v = a + (b - a) * z
+                total += (b - a) * np.dot(w, levels.continuous(np.full_like(v, u), v))
+        return total
+
+    def Q(u):
+        return float(model.quantile(u))
+
+    opts = dict(epsabs=1e-14, epsrel=1e-13, limit=200)
+    ex = sum(quad(lambda u: Q(u) * across_bin(u), a, b, **opts)[0] for a, b in ((0.0, lo), (lo, hi), (hi, 1.0)))
+    ex += quad(lambda v: Q(v) * levels.atom(v), lo, hi, **opts)[0]
+    ey = quad(lambda v: Q(v) * scipy_stats.beta.pdf(v, spec.j, spec.n - spec.j + 1), lo, hi, **opts)[0]
+    return ex, ey
 
 
-@pytest.mark.parametrize("n", [2**15 - 1, 3 * 2**15 + 17, 300_000])
-def test_binned_means_match_oracle_with_nonfinite_y(n):
-    rng = np.random.default_rng(n)
-    y = rng.exponential(size=n)
-    x = y + rng.normal(size=n)
-    y_inf = y.copy()
-    y_inf[::97], y_inf[5::101] = math.inf, -math.inf
-    y_nan = y.copy()
-    y_nan[3::89] = math.nan
-    # finite edges with the infinities outside them; infinite ends (trim
-    # (0, 1)) and nan edges, which both sides refuse
-    for y_case, trim in [(y_inf, (0.05, 0.95)), (y_inf, (0.0, 1.0)), (y_nan, (0.05, 0.95))]:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the quantile and in x - y
-            try:
-                want = oracles.binned_conditional_mean(x, y_case, bins=20, trim=trim)
-            except ValueError as refusal:
-                with pytest.raises(ValueError, match=re.escape(str(refusal))):
-                    binned_conditional_mean(x, y_case, bins=20, trim=trim)
-                continue
-            got = binned_conditional_mean(x, y_case, bins=20, trim=trim)
-        for f in BM_FIELDS:
-            assert np.array_equal(getattr(got, f), getattr(want, f)), (f, trim)
+def test_bin_averages_equal_the_nu_density_reference():
+    # the default 50 bins; at 10 bins the 5-node rule is off by 1e-7 in the
+    # top bin of (1, 2, 2, 2, 2), whose levels reach 0.975
+    bins, trim = 50, (0.05, 0.95)
+    probability = (trim[1] - trim[0]) / bins
+    worst_new, worst_old = {}, 0.0
+    for spec in [OverlapSpec(1, 3, 3, 2, 2), OverlapSpec(1, 2, 2, 2, 2), OverlapSpec(0, 2, 4, 1, 2)]:
+        edges = mc._level_edges(spec, np.linspace(*trim, bins + 1))
+        for name, model in [("exponential", PARENTS["exponential"]), ("logistic", parent.logistic()), ("cb", PARENTS["cb"])]:
+            rep = regression_comparison(spec, model, count=100_000, seed=1, bins=bins, trim=trim)
+            for b in (0, bins // 2, bins - 1):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", IntegrationWarning)  # roundoff near cb's table ends
+                    ex, ey = _bin_reference(spec, model, edges[b], edges[b + 1])
+                want = ex / probability
+                gap = abs(rep.comparisons[b].analytic - want) / max(1.0, abs(want))
+                worst_new[name] = max(worst_new.get(name, 0.0), gap)
+                # the old statistic: the curve at the bin's mean of y
+                old = mean_original_given_extended(spec, model, ey / probability)
+                worst_old = max(worst_old, abs(old - want) / max(1.0, abs(want)))
+    print(f"bin average vs nu-density reference: {worst_new}; curve at the bin mean of y: {worst_old:.2e}")
+    assert worst_new["exponential"] <= 1e-9 and worst_new["logistic"] <= 1e-9
+    # the curve itself is only this accurate on the tabulated cb quantile
+    assert worst_new["cb"] <= 5e-6
+    assert worst_old > 1e-5  # the curvature bias the bin average removes
 
 
-def test_binned_means_refuse_nonfinite_edges():
-    # interpolating between two infinite order statistics gives a nan edge;
-    # the last bin then took every y above the one before it, +inf included
-    n = 2**15 - 1
-    rng = np.random.default_rng(n)
-    y = rng.exponential(size=n)
-    y[::97] = math.inf
-    x = y + rng.normal(size=n)
-    for fn in (binned_conditional_mean, oracles.binned_conditional_mean):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in the quantile
-            with pytest.raises(ValueError, match="bin edges are not finite"):
-                fn(x, y, bins=20, trim=(0.5, 1.0))
+def test_regression_z_scores_are_standard_normal():
+    spec, model = OverlapSpec(1, 3, 3, 2, 2), parent.exponential()
+    z = [c.z for seed in range(100) for c in regression_comparison(spec, model, count=200_000, seed=seed, bins=10).comparisons]
+    assert len(z) == 1000
+    assert scipy_stats.kstest(z, "norm").pvalue > 0.01
 
 
-def test_binning_makes_no_full_length_temporaries():
-    n = 10**6
-    rng = np.random.default_rng(1)
-    y = rng.exponential(size=n)
-    x = y + rng.normal(size=n)
+def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        binned_conditional_mean(x, y)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
-    # the sorted copy of y for the edges, plus blocks of _BLOCK_ROWS pairs
-    assert peak - start <= 1.25 * 8 * n
 
 
-# -- whole reports against the parent's sampler, binning and masks -----------
+def test_streamed_reports_trace_the_same_peak_at_any_count():
+    spec, model = OverlapSpec(1, 3, 3, 2, 2), parent.exponential()
+    verify_spec(spec, model, count=1_000, seed=1)  # builds the cached table outside the trace
+    for run in (
+        lambda count: regression_comparison(spec, model, count=count, seed=1),
+        lambda count: verify_spec(spec, model, count=count, seed=1),
+    ):
+        small, large = _traced_peak(lambda: run(10**6)), _traced_peak(lambda: run(4 * 10**6))
+        # a block's buffers and temporaries, not the sample: 10^6 pairs alone are 16 MB
+        assert abs(large - small) <= 2**20 and large < 16 * 2**20, (small, large)
 
 
-@pytest.fixture
-def parent_kernels(monkeypatch):
-    def use():
-        monkeypatch.setattr(mc, "simulate_pairs", oracles.simulate_pairs)
-        monkeypatch.setattr(mc, "binned_conditional_mean", oracles.binned_conditional_mean)
-        monkeypatch.setattr(mc, "_rectangle_frequencies", oracles.rectangle_frequencies)
-
-    return use
+# -- whole reports against the stored-sample reference -----------------------
 
 
 @pytest.mark.parametrize(
-    "run",
+    "spec, name, count, seed, kwargs",
     [
-        lambda: verify_spec(OverlapSpec(1, 3, 3, 2, 2), parent.exponential(), count=150_000, seed=3),
-        lambda: verify_spec(OverlapSpec(2, 4, 5, 3, 1), PARENTS["cb"], count=70_000, seed=4, chunk_size=30_000, workers=2),
-        lambda: regression_comparison(OverlapSpec(1, 2, 2, 2, 2), UNI, count=300_000, seed=21, bins=25, chunk_size=100_000, workers=2),
-        lambda: identity_regression_comparison(OverlapSpec(0, 4, 4, 3, 3), PARENTS["cb"], count=100_000, seed=2, bins=10),
-    ],
-    ids=["verify-exp", "verify-cb", "regression", "identity"],
+        (OverlapSpec(1, 3, 3, 2, 2), "exponential", 150_000, 3, {}),
+        (OverlapSpec(2, 4, 5, 3, 1), "cb", 70_000, 4, {"chunk_size": 30_000, "workers": 2}),
+    ]
+    + [(OverlapSpec(1, 2, 3, 1, 2), "uniform", 100_001, 5, {"chunk_size": 30_000, "workers": w}) for w in (1, 2, 3)],
+    ids=["verify-exp", "verify-cb", "verify-chunks-w1", "verify-chunks-w2", "verify-chunks-w3"],
 )
-def test_reports_byte_identical_to_parent_kernels(run, parent_kernels):
-    new = run().to_json()
-    parent_kernels()
-    assert new == run().to_json()
+def test_reports_byte_identical_to_parent_kernels(spec, name, count, seed, kwargs):
+    model = PARENTS[name]
+    new = verify_spec(spec, model, count=count, seed=seed, **kwargs).to_json()
+    assert new == oracles.verify_spec(spec, model, count=count, seed=seed, **kwargs).to_json()
+
+
+def test_regression_reports_identical_for_any_worker_count():
+    spec, model = OverlapSpec(1, 2, 2, 2, 2), PARENTS["cb"]
+    reports = {
+        run(spec, model, count=300_000, seed=21, bins=25, chunk_size=100_000, workers=w).to_json()
+        for run in (regression_comparison, identity_regression_comparison)
+        for w in (1, 2, 3)
+    }
+    assert len(reports) == 2
 
 
 def test_rectangle_frequencies_match_masks():
@@ -416,7 +412,9 @@ def test_rectangle_frequencies_match_masks():
     cuts.sort()
     for x_cuts, y_cuts in [(cuts, cuts[::2]), (cuts * 3, cuts * 3)]:  # one-byte and two-byte cells
         x_cuts, y_cuts = sorted(x_cuts), sorted(y_cuts)
-        got = mc._rectangle_frequencies(x, y, x_cuts, y_cuts)
+        # the blocks' cell counts add up to the whole sample's
+        cells = sum(mc._rectangle_cells(x[k : k + 30_000], y[k : k + 30_000], x_cuts, y_cuts) for k in range(0, len(x), 30_000))
+        got = cells.cumsum(axis=0).cumsum(axis=1)[:-1, :-1] / len(x)
         want = oracles.rectangle_frequencies(x, y, x_cuts, y_cuts)
         assert got.shape == want.shape == (len(x_cuts), len(y_cuts))
         assert np.array_equal(got, want)
