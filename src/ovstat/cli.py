@@ -7,7 +7,8 @@ Subcommands
     reconstruct  parent cdf from a tabulated regression curve (CSV + JSON)
     verify       Monte Carlo concordance report (JSON)
 
-Options may come from flags or from a single JSON config file (``--config``);
+Spec and model options may come from flags or from one JSON config file
+(``--config``, read once per command; ``reconstruct`` takes flags only);
 flags win on conflict.  Exit codes: 0 ok, 2 configuration error, 3 invalid
 mathematical input, 4 verification failure.
 """
@@ -51,6 +52,7 @@ _MODEL_KEYS = ("family", "params", "location", "scale")
 def _add_spec_flags(p: argparse.ArgumentParser) -> None:
     for key in _SPEC_KEYS:
         p.add_argument(f"--{key}", type=int, default=None)
+    p.add_argument("--config", default=None, help="JSON config file of spec and model keys; flags override its entries")
 
 
 def _add_model_flags(p: argparse.ArgumentParser) -> None:
@@ -60,12 +62,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scale", type=float, default=None)
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None, help="JSON config file; flags override its entries")
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
 
 
 def _merge(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """The command's ``keys`` from its flags, else from its config file, read once."""
     cfg = {}
     if args.config:
         try:
@@ -172,8 +174,8 @@ def _cmd_probs(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    spec = _spec_from(_merge(args, _SPEC_KEYS))
-    model = _model_from(_merge(args, _MODEL_KEYS))
+    cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
+    spec, model = _spec_from(cfg), _model_from(cfg)
     if args.grid < 2:
         raise ConfigError("grid must be >= 2")
     dens = overlap_density(spec, model)
@@ -197,8 +199,8 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_regress(args) -> int:
-    spec = _spec_from(_merge(args, _SPEC_KEYS))
-    model = _model_from(_merge(args, _MODEL_KEYS))
+    cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
+    spec, model = _spec_from(cfg), _model_from(cfg)
     if args.grid < 2:
         raise ConfigError("grid must be >= 2")
     fn = (
@@ -254,16 +256,12 @@ def _read_curve_csv(path: str) -> tuple[Curve, np.ndarray | None]:
 def _cmd_reconstruct(args) -> int:
     curve, deriv = _read_curve_csv(args.input)
     route = args.route
-    if route == "min":
+    if route in ("min", "max"):
         if args.n is None or args.m is None:
-            raise ConfigError("route 'min' needs --n and --m")
-        result = from_min_regression(curve, args.n, args.m, derivative=deriv)
-        formula = "min-regression-slope-inverse"
-    elif route == "max":
-        if args.n is None or args.m is None:
-            raise ConfigError("route 'max' needs --n and --m")
-        result = from_max_regression(curve, args.n, args.m, derivative=deriv)
-        formula = "max-regression-slope-inverse"
+            raise ConfigError(f"route {route!r} needs --n and --m")
+        inverse = from_min_regression if route == "min" else from_max_regression
+        result = inverse(curve, args.n, args.m, derivative=deriv)
+        formula = f"{route}-regression-slope-inverse"
     elif route == "adjacent":
         if args.i is None or args.upper is None:
             raise ConfigError("route 'adjacent' needs --i and --upper")
@@ -296,8 +294,8 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    spec = _spec_from(_merge(args, _SPEC_KEYS))
-    model = _model_from(_merge(args, _MODEL_KEYS))
+    cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
+    spec, model = _spec_from(cfg), _model_from(cfg)
     reports = [
         verify_spec(
             spec,
@@ -341,14 +339,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("probs", help="exact rank-pair probability table")
     _add_spec_flags(p)
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(fn=_cmd_probs)
 
     p = sub.add_parser("density", help="continuous density grid and atom profile")
     _add_spec_flags(p)
     _add_model_flags(p)
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--grid", type=int, default=41)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(fn=_cmd_density)
@@ -356,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", help="regression curve on a quantile grid")
     _add_spec_flags(p)
     _add_model_flags(p)
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--grid", type=int, default=99)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument(
@@ -367,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_regress)
 
     p = sub.add_parser("reconstruct", help="parent cdf from a regression curve CSV")
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--route", choices=("min", "max", "adjacent", "single-slope"), required=True)
     p.add_argument("--input", required=True, help="curve CSV with columns x,value[,derivative]")
     p.add_argument("--n", type=int, default=None)
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="Monte Carlo concordance report")
     _add_spec_flags(p)
     _add_model_flags(p)
-    _add_common_flags(p)
+    _add_out_flag(p)
     p.add_argument("--reps", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--zmax", type=float, default=4.0)

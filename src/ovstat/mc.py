@@ -71,6 +71,8 @@ DEFAULT_CHUNK = 1_000_000
 _BLOCK_ROWS = 1 << 15
 # minimum/maximum calls per block above which sorting the rows is faster
 _MAX_NETWORK_OPS = 160
+# levels of the rectangle grid whose corners verify_spec checks
+_RECTANGLE_LEVELS = np.arange(1, 6) / 6
 
 
 @dataclass(frozen=True)
@@ -390,6 +392,10 @@ class MCReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
+def _report(kind: str, spec: OverlapSpec, model: ParentModel, count: int, seed: int, zmax: float, comparisons: list) -> MCReport:
+    return MCReport(f"{kind}, spec {spec}", model.name, count, seed, zmax, comparisons)
+
+
 def _rectangle_cells(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.ndarray:
     """Counts of the pairs in each cell of the grid the sorted cuts make.
 
@@ -417,7 +423,6 @@ def verify_spec(
     count: int = 10**6,
     seed: int = 0,
     zmax: float = 4.0,
-    rectangle_grid: int = 5,
     **sim_kwargs,
 ) -> MCReport:
     """Compare the exact rank-pair table and rectangle probabilities with MC.
@@ -426,7 +431,7 @@ def verify_spec(
     counts; no sample is stored.  N above 1029 is refused with ``ValueError``
     (see `rectangle_probability`) before the table is built.
     """
-    levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
+    levels = _RECTANGLE_LEVELS
     cuts = np.asarray(model.quantile(levels), dtype=float)
     probs = rectangle_probability(spec, model, cuts[:, None], cuts[None, :])
 
@@ -464,19 +469,17 @@ def verify_spec(
         p, emp = float(probs[a, b]), float(frequencies[a, b])
         se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0
         comparisons.append(Comparison(f"rect[u={levels[a]:.3f},v={levels[b]:.3f}]", p, emp, se))
-
-    return MCReport(
-        title=f"tie table and rectangles, spec {spec}",
-        model_name=model.name,
-        sample_count=count,
-        seed=seed,
-        zmax=zmax,
-        comparisons=comparisons,
-    )
+    return _report("tie table and rectangles", spec, model, count, seed, zmax, comparisons)
 
 
-def _bin_names(edges: np.ndarray) -> list[str]:
-    return [f"bin[{b}] level=[{lo:.4f},{hi:.4f})" for b, (lo, hi) in enumerate(zip(edges, edges[1:]))]
+def _binned_report(kind: str, spec, model, statistic, expected, count, seed, zmax, bins, trim, kwargs) -> MCReport:
+    """Per-bin means of ``statistic(xu, yu)`` (`binned_conditional_mean`) against
+    ``expected(edges)``, one value per level bin."""
+    edges, _, means, ses = binned_conditional_mean(spec, count, seed, statistic, bins=bins, trim=trim, **kwargs)
+    names = (f"bin[{b}] level=[{lo:.4f},{hi:.4f})" for b, (lo, hi) in enumerate(zip(edges, edges[1:])))
+    rows = zip(names, expected(edges), means, ses)
+    comparisons = [Comparison(name, float(a), float(mean), float(se)) for name, a, mean, se in rows]
+    return _report(kind, spec, model, count, seed, zmax, comparisons)
 
 
 def regression_comparison(
@@ -499,25 +502,16 @@ def regression_comparison(
     F(Y), by 5-node Gauss-Legendre on each bin; so it carries no curvature
     (Jensen) bias at any draw count.
     """
-    edges, _, means, ses = binned_conditional_mean(
-        spec, count, seed, lambda xu, yu: _values(model, xu), bins=bins, trim=trim, **sim_kwargs
-    )
-    z, w = _gl_nodes(5)
-    width = np.diff(edges)[:, None]
-    v = edges[:-1, None] + width * z
-    curve = np.array([mean_original_given_extended(spec, model, float(q)) for q in model.quantile(v.ravel())])
-    analytic = (width * w * _os_kernel(spec.n, spec.j, v) * curve.reshape(v.shape)).sum(axis=1) * bins / (trim[1] - trim[0])
-    comparisons = [
-        Comparison(name, float(a), float(mean), float(se)) for name, a, mean, se in zip(_bin_names(edges), analytic, means, ses)
-    ]
-    return MCReport(
-        title=f"binned regression, spec {spec}",
-        model_name=model.name,
-        sample_count=count,
-        seed=seed,
-        zmax=zmax,
-        comparisons=comparisons,
-    )
+
+    def bin_averages(edges: np.ndarray) -> np.ndarray:
+        z, w = _gl_nodes(5)
+        width = np.diff(edges)[:, None]
+        v = edges[:-1, None] + width * z
+        curve = np.array([mean_original_given_extended(spec, model, float(q)) for q in model.quantile(v.ravel())])
+        return (width * w * _os_kernel(spec.n, spec.j, v) * curve.reshape(v.shape)).sum(axis=1) * bins / (trim[1] - trim[0])
+
+    first = lambda xu, yu: _values(model, xu)  # noqa: E731
+    return _binned_report("binned regression", spec, model, first, bin_averages, count, seed, zmax, bins, trim, sim_kwargs)
 
 
 def identity_regression_comparison(
@@ -535,15 +529,6 @@ def identity_regression_comparison(
     Under the identity regression the conditional mean of x - y vanishes in
     every level bin of y, which avoids curvature bias entirely.
     """
-    edges, _, means, ses = binned_conditional_mean(
-        spec, count, seed, lambda xu, yu: _values(model, xu) - _values(model, yu), bins=bins, trim=trim, **sim_kwargs
-    )
-    comparisons = [Comparison(name, 0.0, float(mean), float(se)) for name, mean, se in zip(_bin_names(edges), means, ses)]
-    return MCReport(
-        title=f"identity regression, spec {spec}",
-        model_name=model.name,
-        sample_count=count,
-        seed=seed,
-        zmax=zmax,
-        comparisons=comparisons,
-    )
+    difference = lambda xu, yu: _values(model, xu) - _values(model, yu)  # noqa: E731
+    zero = lambda edges: np.zeros(bins)  # noqa: E731
+    return _binned_report("identity regression", spec, model, difference, zero, count, seed, zmax, bins, trim, sim_kwargs)

@@ -255,13 +255,12 @@ class _QuantileTable:
         self._inv_step = (n_side - 1) / (math.log(0.5) - math.log(U_MIN))
         self._shift = -math.log(U_MIN) * self._inv_step - 0.5
 
-        q_arr = _coerce_vectorized(q)
         nodes, weights = np.polynomial.legendre.leggauss(16)
         u0, u1 = self.u[:-1], self.u[1:]
         half = 0.5 * (u1 - u0)
         mid = 0.5 * (u1 + u0)
         pts = mid[:, None] + half[:, None] * nodes[None, :]
-        vals = scale * q_arr(pts.ravel()).reshape(pts.shape)
+        vals = scale * _on_array(q, pts.ravel()).reshape(pts.shape)
         if not np.all(np.isfinite(vals)) or np.any(vals <= 0):
             raise ValueError("quantile density must be positive and finite on (0, 1)")
         panel = (vals * weights[None, :]).sum(axis=1) * half
@@ -277,10 +276,9 @@ class _QuantileTable:
         self.values = values
         if np.any(np.diff(values) < 0):
             raise ValueError("quantile integration produced a non-monotone table")
-        self.deriv = scale * q_arr(self.u)
+        self.deriv = scale * _on_array(q, self.u)
         if not np.all(np.isfinite(self.deriv)) or np.any(self.deriv <= 0):
             raise ValueError("quantile density must be positive and finite on (0, 1)")
-        self._q = q_arr
 
     # cubic Hermite basis on one panel
     def _hermite(self, idx: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -351,15 +349,14 @@ class _QuantileTable:
         return np.clip(self.u[idx] + t * h, self.u[0], self.u[-1])
 
 
-def _coerce_vectorized(q: Callable) -> Callable:
-    probe = np.array([0.25, 0.5, 0.75])
+def _on_array(fn: Callable, t: np.ndarray) -> np.ndarray:
+    """fn on the array t.  A callable that takes only scalars is called once per
+    value, and a scalar returned for an array is broadcast."""
     try:
-        out = np.asarray(q(probe), dtype=float)
-        if out.shape == probe.shape:
-            return lambda u: np.asarray(q(u), dtype=float)
-    except Exception:
-        pass
-    return np.vectorize(lambda u: float(q(u)))
+        values = fn(t)
+    except (TypeError, ValueError):
+        return np.array([fn(float(v)) for v in t.ravel()], dtype=float).reshape(t.shape)
+    return np.broadcast_to(np.asarray(values, dtype=float), t.shape)
 
 
 def from_quantile_density(
@@ -398,13 +395,11 @@ def from_quantile_density(
     lo, hi = float(table.values[0] - tail[0]), float(table.values[-1] + tail[1])
     finite_mean = bool(np.all(a < 2.0 - _TAIL_TOL))
 
-    qd = table._q
-
     def cdf(x):  # 0 and 1 outside the support; the table stops 1e-12 short
         return np.where(x <= lo, 0.0, np.where(x >= hi, 1.0, table.cdf(x)))
 
     def pdf(x):  # 0 unless x lies inside the support, as for the closed forms
-        return np.where((x > lo) & (x < hi), 1.0 / (scale * qd(table.cdf(x))), 0.0)
+        return np.where((x > lo) & (x < hi), 1.0 / (scale * _on_array(q, table.cdf(x))), 0.0)
 
     return ParentModel(
         name=name or "quantile-density family",
@@ -412,7 +407,7 @@ def from_quantile_density(
         cdf=_vec(cdf),
         pdf=_vec(pdf),
         quantile=_vec(table.quantile),
-        quantile_density=_vec(lambda u: scale * qd(u)),
+        quantile_density=_vec(lambda u: scale * _on_array(q, u)),
         finite_mean=finite_mean,
     )
 

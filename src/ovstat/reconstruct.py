@@ -5,7 +5,8 @@ Each route inverts one of the closed-form regressions of
 
 * minimum/maximum of the extended sample given the same extreme of the
   original sample: the derivative of the curve is a power of the parent tail
-  (or cdf), so the cdf follows by taking a root of the slope;
+  (or cdf), the single-draw kernel at its lowest (highest) index, so the cdf
+  follows by taking a root of the slope;
 * same-index adjacent extension, written as x minus a positive gap h(x): the
   cdf is an explicit functional of h involving one tail integral;
 * conditioning on a single draw: the slope of the curve equals the rank
@@ -46,6 +47,7 @@ import numpy as np
 from ._tanh_sinh import C as _C, W as _W, X as _X
 from .combinatorics import binom
 from .curve import Curve
+from .parent import _on_array
 
 __all__ = [
     "ReconstructionError",
@@ -111,46 +113,51 @@ def _finish(grid, f, gauge: str, extra: dict | None = None) -> ReconstructionRes
     )
 
 
-def from_min_regression(
-    curve: Curve, n: int, m: int, derivative=None
-) -> ReconstructionResult:
+def _end_roots(s: np.ndarray, d: int, lowest: bool) -> np.ndarray:
+    """F with (1 - F)^d = s (``lowest``) or F^d = s: the single-draw kernel of
+    d + 1 draws at its ends j = 1 and j = d + 1.  A slope above 1 gives a level
+    outside [0, 1], which `_finish` clips to the end a slope of 1 gives."""
+    root = s ** (1.0 / d)
+    return 1.0 - root if lowest else root
+
+
+def _extreme_regression(route: str, curve: Curve, n: int, m: int, derivative) -> ReconstructionResult:
+    """Parent cdf from the min or max regression (``route``) of n draws on the first m.
+
+    Given the first m draws' extreme x, the extreme of all n is that of x and
+    the d = n - m new draws, so the slope is (1 - F)^d, falling, or F^d, rising.
+    """
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    gp = _derivative(curve, derivative)
+    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
+        raise ReconstructionError(f"slope of a {route}-regression must lie in (0, 1]")
+    lowest = route == "min"
+    if np.any((np.diff(gp) if lowest else -np.diff(gp)) > _SLACK):
+        direction = "decreasing" if lowest else "increasing"
+        raise ReconstructionError(f"slope of a {route}-regression must be {direction}")
+    if np.all(gp >= 1.0 - _SLACK):
+        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
+    f = _end_roots(gp, n - m, lowest)
+    return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
+
+
+def from_min_regression(curve: Curve, n: int, m: int, derivative=None) -> ReconstructionResult:
     """Parent cdf from g(x) = E(min of n draws | min of first m draws = x).
 
     The slope satisfies g' = (1 - F)^(n-m), so F = 1 - g'**(1/(n-m)).  The
     slope must take values in (0, 1] and decrease along the grid.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    gp = _derivative(curve, derivative)
-    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
-        raise ReconstructionError("slope of a min-regression must lie in (0, 1]")
-    if np.any(np.diff(gp) > _SLACK):
-        raise ReconstructionError("slope of a min-regression must be decreasing")
-    if np.all(gp >= 1.0 - _SLACK):
-        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
-    f = 1.0 - np.minimum(gp, 1.0) ** (1.0 / (n - m))
-    return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
+    return _extreme_regression("min", curve, n, m, derivative)
 
 
-def from_max_regression(
-    curve: Curve, n: int, m: int, derivative=None
-) -> ReconstructionResult:
+def from_max_regression(curve: Curve, n: int, m: int, derivative=None) -> ReconstructionResult:
     """Parent cdf from g(x) = E(max of n draws | max of first m draws = x).
 
-    Mirror of :func:`from_min_regression`: F = g'**(1/(n-m)) with the slope
-    increasing from 0 to 1.
+    The slope satisfies g' = F^(n-m), so F = g'**(1/(n-m)).  The slope must
+    take values in (0, 1] and increase along the grid.
     """
-    if not 1 <= m < n:
-        raise ValueError("need 1 <= m < n")
-    gp = _derivative(curve, derivative)
-    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
-        raise ReconstructionError("slope of a max-regression must lie in (0, 1]")
-    if np.any(np.diff(gp) < -_SLACK):
-        raise ReconstructionError("slope of a max-regression must be increasing")
-    if np.all(gp >= 1.0 - _SLACK):
-        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
-    f = np.minimum(gp, 1.0) ** (1.0 / (n - m))
-    return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
+    return _extreme_regression("max", curve, n, m, derivative)
 
 
 def _monotone_cubic(x: np.ndarray, y: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -202,16 +209,6 @@ def _secant_tail(inner: Callable, x: np.ndarray, y: np.ndarray) -> Callable[[np.
         return np.where(v > x[-1], y[-1] + slope * (v - x[-1]), inner(v))
 
     return evaluate
-
-
-def _gap_values(h: Callable, t: np.ndarray) -> np.ndarray:
-    """h on the array t.  A callable that takes only scalars is called once per
-    value, and a scalar returned for an array is broadcast."""
-    try:
-        values = h(t)
-    except (TypeError, ValueError):
-        return np.array([h(float(v)) for v in t.ravel()], dtype=float).reshape(t.shape)
-    return np.broadcast_to(np.asarray(values, dtype=float), t.shape)
 
 
 def _tail_integral(in_z: np.ndarray) -> float:
@@ -310,7 +307,7 @@ def from_adjacent_regression(
 
     # every grid point, the rule's nodes on every grid panel, and the tail beyond the grid
     inner = grid[:-1, None] + np.diff(grid)[:, None] * _X
-    values = _gap_values(h_fn, np.concatenate((grid, inner.ravel(), tail_nodes)))
+    values = _on_array(h_fn, np.concatenate((grid, inner.ravel(), tail_nodes)))
     if not np.all(values > 0.0):
         raise ReconstructionError("gap curve must be positive below the upper endpoint")
     gap, integrand = values[: len(grid)], values[len(grid) :] ** (-e2)
@@ -324,14 +321,12 @@ def from_adjacent_regression(
     return _finish(grid, f, gauge="none", extra={"upper_gap_reciprocal": recip_end})
 
 
-def _kernel_roots(target: np.ndarray, j: int, n: int, rising: np.ndarray, kmax: float) -> np.ndarray:
-    """t with k(t) = C(n-1, j-1) t^(j-1) (1-t)^(n-j) = target <= kmax, on the
-    rising branch (t <= (j-1)/(n-1)) where ``rising`` holds and on the falling
-    one elsewhere, by bisection of the branch; the top, target = kmax, is the
-    apex itself.
+def _kernel_roots(target: np.ndarray, j: int, n: int, coeff: int, tstar: float, kmax: float, rising) -> np.ndarray:
+    """t with k(t) = coeff t^(j-1) (1-t)^(n-j) = target <= kmax, on the rising
+    branch (t <= tstar) where ``rising`` holds and on the falling one
+    elsewhere, by bisection of the branch; the top, target = kmax, is the apex
+    tstar itself.
     """
-    coeff = binom(n - 1, j - 1)
-    tstar = (j - 1) / (n - 1)
     lo = np.where(rising, 0.0, tstar)
     hi = np.where(rising, tstar, 1.0)
     for _ in range(_HALVINGS):
@@ -345,25 +340,22 @@ def _kernel_roots(target: np.ndarray, j: int, n: int, rising: np.ndarray, kmax: 
 def from_single_regression_slope(slope: Curve, j: int, n: int) -> ReconstructionResult:
     """Parent cdf from the slope of h(x) = E(j-th os of n draws | one draw = x).
 
-    The slope equals C(n-1, j-1) F^(j-1) (1-F)^(n-j).  For 1 < j < n the
-    kernel is unimodal in F, so the pointwise inversion picks the rising
-    branch before the slope maximum and the falling branch after it (the
-    maximum itself too where the slope falls); the result must come out
-    nondecreasing or the input is rejected.
+    The slope equals C(n-1, j-1) F^(j-1) (1-F)^(n-j).  At j = 1 and j = n the
+    kernel is (1-F)^(n-1) or F^(n-1), inverted by the root of the min and max
+    routes.  For 1 < j < n it is unimodal in F, so the pointwise inversion
+    picks the rising branch before the slope maximum and the falling branch
+    after it (the maximum itself too where the slope falls); the result must
+    come out nondecreasing or the input is rejected.
     """
     if not 1 <= j <= n or n < 2:
         raise ValueError("need n >= 2 and 1 <= j <= n")
     hp = slope.values.astype(float)
     if np.any(hp <= 0.0):
         raise ReconstructionError("slope of the regression must be positive on the support")
-    coeff = binom(n - 1, j - 1)
-    if j == 1:
-        f = 1.0 - (np.minimum(hp / coeff, 1.0)) ** (1.0 / (n - 1))
-        return _finish(slope.grid, f, gauge="none")
-    if j == n:
-        f = (np.minimum(hp / coeff, 1.0)) ** (1.0 / (n - 1))
-        return _finish(slope.grid, f, gauge="none")
+    if j in (1, n):
+        return _finish(slope.grid, _end_roots(hp, n - 1, j == 1), gauge="none")
 
+    coeff = binom(n - 1, j - 1)
     tstar = (j - 1) / (n - 1)
     kmax = coeff * tstar ** (j - 1) * (1.0 - tstar) ** (n - j)
     if np.any(hp > kmax * (1.0 + 1e-9)):
@@ -372,7 +364,7 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
     peak = int(np.argmax(hp))
     # h'' = k'(F) f, so the maximum lies past the apex where the slope falls
     rising = np.arange(len(hp)) < peak + (np.gradient(hp, slope.grid)[peak] >= 0.0)
-    f = _kernel_roots(hp, j, n, rising, kmax)
+    f = _kernel_roots(hp, j, n, coeff, tstar, kmax, rising)
     if np.any(np.diff(f) < -_SLACK):
         raise ReconstructionError("no monotone branch matches the supplied slope")
     return _finish(

@@ -20,9 +20,10 @@ level.  The second curve is the first one of the swapped geometry
 
 Specialised closed forms for the smallest genuinely overlapping geometry
 (offset 1, both samples of size 2) and for extension-sample regressions
-(minimum, maximum, same-index adjacent, and conditioning on a single draw)
-are implemented independently of the general mixture; agreement of the two
-paths is part of the verification suite.
+(same-index adjacent, and conditioning on a single draw, whose lowest and
+highest indices give the minimum and maximum regressions) are implemented
+independently of the general mixture; agreement of the two paths is part of
+the verification suite.
 """
 
 from __future__ import annotations
@@ -201,25 +202,19 @@ def pair_regression_r1(which: str, model: ParentModel, y: float) -> float:
 
 
 def mean_min_extended(model: ParentModel, n: int, m: int, x: float) -> float:
-    """E(min of n draws | min of the first m draws = x), m < n."""
+    """E(min of n draws | min of the first m draws = x), m < n: the lowest of
+    x and the d = n - m new draws, ``mean_given_single(model, 1, d + 1, x)``."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    _check_mean(model)
-    w = float(model.cdf(x))
-    d = n - m
-    tail = _quad_q(model, lambda u: (1.0 - u) ** (d - 1), 0.0, w)
-    return x * (1.0 - w) ** d + d * tail
+    return mean_given_single(model, 1, n - m + 1, x)
 
 
 def mean_max_extended(model: ParentModel, n: int, m: int, x: float) -> float:
-    """E(max of n draws | max of the first m draws = x), m < n."""
+    """E(max of n draws | max of the first m draws = x), m < n: the highest of
+    x and the d = n - m new draws, ``mean_given_single(model, d + 1, d + 1, x)``."""
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
-    _check_mean(model)
-    w = float(model.cdf(x))
-    d = n - m
-    tail = _quad_q(model, lambda u: u ** (d - 1), w, 1.0)
-    return x * w**d + d * tail
+    return mean_given_single(model, n - m + 1, n - m + 1, x)
 
 
 def mean_adjacent(model: ParentModel, i: int, m: int, x: float) -> float:

@@ -12,7 +12,8 @@ kernels in ``ovstat.mc`` must reproduce bit for bit, and mask-based binning
 on the sampler's levels, which the streamed bin sums must match to rounding.
 The reconstruction oracles are the scipy versions of the adjacent-gap route
 (``quad`` per grid panel on a ``PchipInterpolator``) and of the single-draw
-slope route (``brentq`` per point).
+slope route (``brentq`` per point), and the mirrored min- and
+max-regression bodies that the single-draw kernel's two ends replace.
 """
 
 from __future__ import annotations
@@ -32,10 +33,10 @@ from scipy.optimize import brentq
 from ovstat.combinatorics import CountParams, binom
 from ovstat.curve import Curve
 from ovstat.density import NuDensity, _assemble, rectangle_probability as _rectangle_law
-from ovstat.mc import Comparison, MCReport, PairSample, _chunk_ranges, _level_edges
+from ovstat.mc import _RECTANGLE_LEVELS, Comparison, MCReport, PairSample, _chunk_ranges, _level_edges
 from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel
-from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _finish
+from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _derivative, _finish
 
 MAX_BRUTEFORCE_LENGTH = 10
 MAX_ORACLE_POOLED = 9
@@ -307,7 +308,6 @@ def verify_spec(
     count: int = 10**6,
     seed: int = 0,
     zmax: float = 4.0,
-    rectangle_grid: int = 5,
     **sim_kwargs,
 ) -> MCReport:
     """`ovstat.mc.verify_spec` over a stored sample of the sort-per-row sampler.
@@ -341,7 +341,7 @@ def verify_spec(
         )
     )
 
-    levels = np.arange(1, rectangle_grid + 1) / (rectangle_grid + 1)
+    levels = _RECTANGLE_LEVELS
     cuts = np.asarray(model.quantile(levels), dtype=float)
     frequencies = rectangle_frequencies(sample.x, sample.y, cuts, cuts)
     probs = _rectangle_law(spec, model, cuts[:, None], cuts[None, :])
@@ -471,3 +471,41 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
         gauge="none",
         extra={"branch_switch_index": peak, "kernel_max": float(kmax)},
     )
+
+
+def from_min_regression(curve: Curve, n: int, m: int, derivative=None) -> ReconstructionResult:
+    """Parent cdf from g(x) = E(min of n draws | min of first m draws = x).
+
+    The slope satisfies g' = (1 - F)^(n-m), so F = 1 - g'**(1/(n-m)).  The
+    slope must take values in (0, 1] and decrease along the grid.
+    """
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    gp = _derivative(curve, derivative)
+    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
+        raise ReconstructionError("slope of a min-regression must lie in (0, 1]")
+    if np.any(np.diff(gp) > _SLACK):
+        raise ReconstructionError("slope of a min-regression must be decreasing")
+    if np.all(gp >= 1.0 - _SLACK):
+        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
+    f = 1.0 - np.minimum(gp, 1.0) ** (1.0 / (n - m))
+    return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
+
+
+def from_max_regression(curve: Curve, n: int, m: int, derivative=None) -> ReconstructionResult:
+    """Parent cdf from g(x) = E(max of n draws | max of first m draws = x).
+
+    Mirror of :func:`from_min_regression`: F = g'**(1/(n-m)) with the slope
+    increasing from 0 to 1.
+    """
+    if not 1 <= m < n:
+        raise ValueError("need 1 <= m < n")
+    gp = _derivative(curve, derivative)
+    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
+        raise ReconstructionError("slope of a max-regression must lie in (0, 1]")
+    if np.any(np.diff(gp) < -_SLACK):
+        raise ReconstructionError("slope of a max-regression must be increasing")
+    if np.all(gp >= 1.0 - _SLACK):
+        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
+    f = np.minimum(gp, 1.0) ** (1.0 / (n - m))
+    return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})

@@ -248,6 +248,30 @@ def test_config_file_with_flag_override(tmp_path):
     assert main(["probs", "--config", str(bad)]) == 2
 
 
+def test_config_file_holds_spec_and_model_keys(tmp_path):
+    # one file read once per command against every key that command takes
+    spec = {"r": 1, "m": 2, "n": 2, "i": 1, "j": 2}
+    flags = ["--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "2", "--family", "logistic"]
+    both, spec_only = tmp_path / "both.json", tmp_path / "spec.json"
+    both.write_text(json.dumps({**spec, "family": "logistic"}))
+    spec_only.write_text(json.dumps(spec))
+    for command, extra in (("density", ["--grid", "3"]), ("regress", ["--grid", "3"]), ("verify", ["--reps", "20000"])):
+        want, out = tmp_path / f"{command}-flags.out", tmp_path / f"{command}.out"
+        assert main([command, *flags, *extra, "--out", str(want)]) == 0
+        for config, rest in ((both, []), (spec_only, ["--family", "logistic"])):
+            assert main([command, "--config", str(config), *rest, *extra, "--out", str(out)]) == 0, (command, config.name)
+            assert out.read_bytes() == want.read_bytes()
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**spec, "family": "logistic", "bogus": 1}))
+    assert main(["regress", "--config", str(bad), "--grid", "3"]) == 2
+
+
+def test_reconstruct_takes_no_config(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["reconstruct", "--route", "min", "--input", str(tmp_path / "g.csv"), "--config", str(tmp_path / "c.json")])
+    assert exit_info.value.code == 2
+
+
 def test_config_non_integer_spec_exit_2(tmp_path, capsys):
     # config values are not truncated: r = 1.7 or j = true is a configuration error
     for values in ({"r": 1.7}, {"j": True}, {"m": "2"}):

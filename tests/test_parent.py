@@ -73,6 +73,21 @@ def test_constant_qdf_is_uniform():
     assert m.median() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_scalar_only_and_constant_qdfs_build_the_vectorised_table():
+    # a quantile density that takes only scalars is called once per node, and a
+    # constant returned for an array is broadcast
+    u = grid999()
+    pairs = [
+        (lambda v: 1.0 / (v * (1.0 - v)), lambda v: 1.0 / (float(v) * (1.0 - float(v)))),
+        (lambda v: np.ones_like(np.asarray(v, dtype=float)), lambda v: 1.0),
+    ]
+    for vectorised, other in pairs:
+        want = parent.from_quantile_density(vectorised)
+        got = parent.from_quantile_density(other)
+        assert np.array_equal(got.quantile(u), want.quantile(u))
+        assert np.array_equal(got.cdf(want.quantile(u)), want.cdf(want.quantile(u)))
+
+
 @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 1.5])
 @pytest.mark.parametrize("beta", [-0.5, 0.0, 0.5, 1.0, 1.5])
 def test_cb_roundtrip_and_duality(alpha, beta):

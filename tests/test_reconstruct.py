@@ -25,7 +25,7 @@ from ovstat.reconstruct import (
     midsample_quantile_density,
     quantile_from_linear_regression,
 )
-from ovstat.regression import mean_adjacent, mean_min_extended
+from ovstat.regression import mean_adjacent, mean_max_extended, mean_min_extended
 
 
 def test_min_route_uniform_example():
@@ -91,6 +91,61 @@ def test_max_route_is_negation_dual_of_min_route():
         Curve(xr, -((x ** (d + 1) + d) / (d + 1))[::-1]), n, m, derivative=gp[::-1]
     )
     assert np.allclose(res_min.cdf.values, (1 - res_max.cdf.values)[::-1], atol=1e-12)
+
+
+def test_extreme_routes_equal_the_mirrored_reference():
+    # the inputs of the min- and max-route tests, refusals included, and the
+    # single-draw route at its two ends
+    x, xb = np.linspace(0.01, 0.99, 201), np.linspace(0.01, 0.99, 50)
+    xe, xf = np.linspace(0.01, 6.0, 400), -np.log1p(-np.arange(1, 2001) / 2001.0)
+    cases = [
+        ("min", Curve(x, (1 - (1 - x) ** 3) / 3), 4, 2, (1 - x) ** 2),
+        ("min", Curve(xe, 1 - np.exp(-xe)), 3, 2, np.exp(-xe)),
+        ("min", Curve(xf, 1 - np.exp(-xf)), 2, 1, None),
+        ("min", Curve(-x[::-1], -((x**3 + 2) / 3)[::-1]), 4, 2, (x**2)[::-1]),
+        ("min", Curve(xe, np.zeros_like(xe)), 3, 1, np.exp(-2 * xe)),
+        ("max", Curve(x, (x**3 + 2) / 3), 5, 3, x**2),
+        ("max", Curve(x, (x**3 + 2) / 3), 4, 2, x**2),
+        ("max", Curve(xe, xe + np.exp(-xe)), 2, 1, None),
+    ]
+    for model, n, m in [(parent.exponential(), 2, 1), (parent.logistic(), 3, 1), (parent.power_law(2.0), 3, 2)]:
+        grid = np.asarray(model.quantile(np.arange(1, 202) / 202.0), dtype=float)
+        for route, forward in (("min", mean_min_extended), ("max", mean_max_extended)):
+            cases.append((route, Curve(grid, [forward(model, n, m, float(t)) for t in grid]), n, m, None))
+    for route in ("min", "max"):
+        cases += [
+            (route, Curve(xb, xb), 3, 2, np.full_like(xb, 1.0)),  # identically 1
+            (route, Curve(xb, xb**2), 3, 2, 2 * xb),  # rising slope, above 1 at the top
+            (route, Curve(xb, xb**3 / 3), 3, 2, xb**2),  # rising
+            (route, Curve(xb, xb - xb**3 / 3), 3, 2, 1 - xb**2),  # falling
+            (route, Curve(xb, 2 * xb), 3, 2, np.full_like(xb, 2.0)),  # above 1
+            (route, Curve(xb, xb), 3, 2, np.zeros_like(xb)),  # not positive
+            (route, Curve(xb, xb), 2, 2, None),  # m = n
+            (route, Curve(xb, xb), 3, 2, np.ones(3)),  # off the grid
+        ]
+    for step in (0.5e-9, 2e-9):  # either side of the 1e-9 slack on the slope's direction
+        falling, rising = 0.9 - 0.5 * xb, 0.1 + 0.5 * xb
+        falling[25:] += falling[24] - falling[25] + step
+        rising[25:] -= rising[25] - rising[24] + step
+        cases += [("min", Curve(xb, xb), 3, 2, falling), ("max", Curve(xb, xb), 3, 2, rising)]
+    routes = {"min": (from_min_regression, oracles.from_min_regression), "max": (from_max_regression, oracles.from_max_regression)}
+    for route, curve, n, m, derivative in cases:
+        new, reference = routes[route]
+        try:
+            want = reference(curve, n, m, derivative=derivative)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as refused:
+                new(curve, n, m, derivative=derivative)
+            assert (type(refused.value), str(refused.value)) == (type(exc), str(exc)), (route, n, m)
+            continue
+        got = new(curve, n, m, derivative=derivative)
+        assert np.array_equal(got.cdf.values, want.cdf.values), (route, n, m)
+        assert (got.gauge, got.diagnostics) == (want.gauge, want.diagnostics), (route, n, m)
+    F = 1 - np.exp(-xe)
+    for j, n, slope in [(1, 3, (1 - F) ** 2), (3, 3, F**2), (1, 2, 1 - F), (2, 2, F), (1, 4, np.full_like(F, 1.5)), (4, 4, (1 - F) ** 3)]:
+        got, want = (route(Curve(xe, slope), j, n) for route in (from_single_regression_slope, oracles.from_single_regression_slope))
+        assert np.array_equal(got.cdf.values, want.cdf.values), (j, n)
+        assert got.diagnostics == want.diagnostics, (j, n)
 
 
 def test_adjacent_route_power_example():
