@@ -113,10 +113,17 @@ def _finish(grid, f, gauge: str, extra: dict | None = None) -> ReconstructionRes
     )
 
 
-def _end_roots(s: np.ndarray, d: int, lowest: bool) -> np.ndarray:
+def _end_roots(name: str, s: np.ndarray, d: int, lowest: bool) -> np.ndarray:
     """F with (1 - F)^d = s (``lowest``) or F^d = s: the single-draw kernel of
-    d + 1 draws at its ends j = 1 and j = d + 1.  A slope above 1 gives a level
-    outside [0, 1], which `_finish` clips to the end a slope of 1 gives."""
+    d + 1 draws at its ends j = 1 and j = d + 1, whose slope s must lie in
+    (0, 1], fall (rise) along the grid and not be identically 1.  ``name``
+    names the regression in the refusals."""
+    if np.any(s <= 0.0) or np.any(s > 1.0 + _SLACK):
+        raise ReconstructionError(f"slope of a {name} must lie in (0, 1]")
+    if np.any((np.diff(s) if lowest else -np.diff(s)) > _SLACK):
+        raise ReconstructionError(f"slope of a {name} must be {'decreasing' if lowest else 'increasing'}")
+    if np.all(s >= 1.0 - _SLACK):
+        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
     root = s ** (1.0 / d)
     return 1.0 - root if lowest else root
 
@@ -130,15 +137,7 @@ def _extreme_regression(route: str, curve: Curve, n: int, m: int, derivative) ->
     if not 1 <= m < n:
         raise ValueError("need 1 <= m < n")
     gp = _derivative(curve, derivative)
-    if np.any(gp <= 0.0) or np.any(gp > 1.0 + _SLACK):
-        raise ReconstructionError(f"slope of a {route}-regression must lie in (0, 1]")
-    lowest = route == "min"
-    if np.any((np.diff(gp) if lowest else -np.diff(gp)) > _SLACK):
-        direction = "decreasing" if lowest else "increasing"
-        raise ReconstructionError(f"slope of a {route}-regression must be {direction}")
-    if np.all(gp >= 1.0 - _SLACK):
-        raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
-    f = _end_roots(gp, n - m, lowest)
+    f = _end_roots(f"{route}-regression", gp, n - m, route == "min")
     return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
 
 
@@ -341,8 +340,8 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
     """Parent cdf from the slope of h(x) = E(j-th os of n draws | one draw = x).
 
     The slope equals C(n-1, j-1) F^(j-1) (1-F)^(n-j).  At j = 1 and j = n the
-    kernel is (1-F)^(n-1) or F^(n-1), inverted by the root of the min and max
-    routes.  For 1 < j < n it is unimodal in F, so the pointwise inversion
+    kernel is (1-F)^(n-1) or F^(n-1), checked and inverted as the slope of
+    the min and max routes with d = n - 1.  For 1 < j < n it is unimodal in F, so the pointwise inversion
     picks the rising branch before the slope maximum and the falling branch
     after it (the maximum itself too where the slope falls); the result must
     come out nondecreasing or the input is rejected.
@@ -353,7 +352,7 @@ def from_single_regression_slope(slope: Curve, j: int, n: int) -> Reconstruction
     if np.any(hp <= 0.0):
         raise ReconstructionError("slope of the regression must be positive on the support")
     if j in (1, n):
-        return _finish(slope.grid, _end_roots(hp, n - 1, j == 1), gauge="none")
+        return _finish(slope.grid, _end_roots(f"single-draw regression at j = {j}", hp, n - 1, j == 1), gauge="none")
 
     coeff = binom(n - 1, j - 1)
     tstar = (j - 1) / (n - 1)

@@ -142,10 +142,16 @@ def test_extreme_routes_equal_the_mirrored_reference():
         assert np.array_equal(got.cdf.values, want.cdf.values), (route, n, m)
         assert (got.gauge, got.diagnostics) == (want.gauge, want.diagnostics), (route, n, m)
     F = 1 - np.exp(-xe)
-    for j, n, slope in [(1, 3, (1 - F) ** 2), (3, 3, F**2), (1, 2, 1 - F), (2, 2, F), (1, 4, np.full_like(F, 1.5)), (4, 4, (1 - F) ** 3)]:
+    for j, n, slope in [(1, 3, (1 - F) ** 2), (3, 3, F**2), (1, 2, 1 - F), (2, 2, F), (4, 4, F**3)]:
         got, want = (route(Curve(xe, slope), j, n) for route in (from_single_regression_slope, oracles.from_single_regression_slope))
         assert np.array_equal(got.cdf.values, want.cdf.values), (j, n)
         assert got.diagnostics == want.diagnostics, (j, n)
+    # the reference takes a slope above 1 as 1 and a falling slope at j = n
+    # as a cdf; the min and max routes refuse both
+    with pytest.raises(ReconstructionError, match=r"must lie in \(0, 1\]"):
+        from_single_regression_slope(Curve(xe, np.full_like(F, 1.5)), 1, 4)
+    with pytest.raises(ReconstructionError, match="must be increasing"):
+        from_single_regression_slope(Curve(xe, (1 - F) ** 3), 4, 4)
 
 
 def test_adjacent_route_power_example():
@@ -416,6 +422,24 @@ def test_single_slope_extreme_indices_match_extreme_routes():
     # j = n reduces to the max-regression inversion
     res_n = from_single_regression_slope(Curve(x, F ** (n - 1)), n, n)
     assert np.allclose(res_n.cdf.values, F, atol=1e-12)
+
+
+@pytest.mark.parametrize("j", [1, 4])
+def test_single_slope_end_indices_refuse_what_the_extreme_routes_refuse(j):
+    # at j = 1 (j = n) the kernel is the min (max) route's slope with d = n - 1
+    x = np.linspace(0.05, 4.0, 200)
+    F = 1 - np.exp(-x)
+    route = from_min_regression if j == 1 else from_max_regression
+    wrong_way = F**3 if j == 1 else (1 - F) ** 3
+    for slope, message in [
+        (np.full_like(x, 1.5), r"must lie in \(0, 1\]"),  # above 1
+        (wrong_way, "must be (de|in)creasing"),
+        (np.ones_like(x), "identically 1"),
+    ]:
+        with pytest.raises(ReconstructionError, match=message):
+            route(Curve(x, np.zeros_like(x)), 4, 1, derivative=slope)
+        with pytest.raises(ReconstructionError, match=message):
+            from_single_regression_slope(Curve(x, slope), j, 4)
 
 
 def test_single_slope_rejects_flat_or_oversized():
