@@ -9,14 +9,17 @@ Subcommands
 
 Spec and model options may come from flags or from one JSON config file
 (``--config``, read once per command; ``reconstruct`` takes flags only);
-flags win on conflict.  Exit codes: 0 ok, 2 configuration error, 3 invalid
-mathematical input, 4 verification failure.
+flags win on conflict.  Exit codes: 0 ok, 2 configuration error or an
+``--out`` path that cannot be written, 3 invalid mathematical input,
+4 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -27,7 +30,7 @@ from . import __version__
 from .curve import Curve
 from .density import nu_total_mass, overlap_density
 from .mc import regression_comparison, verify_spec
-from .overlap import OverlapSpec, probability_table
+from .overlap import CELL_FIELDS, OverlapSpec, probability_table
 from .parent import ParentModel, from_config
 from .reconstruct import (
     ReconstructionError,
@@ -135,23 +138,30 @@ def _header(formula: str, extra: dict) -> list[str]:
     return lines
 
 
-def _write_csv(out: str | None, header: list[str], rows) -> None:
-    handle = open(out, "w", newline="") if out else sys.stdout
+@contextlib.contextmanager
+def _output(out: str | None, newline: str | None = None):
+    """The open output file, or stdout without a path; a failure to open or
+    write the file is a configuration error that names it."""
+    if not out:
+        yield sys.stdout
+        return
     try:
+        with open(out, "w", newline=newline) as handle:
+            yield handle
+    except OSError as exc:
+        raise ConfigError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _write_csv(out: str | None, header: list[str], rows) -> None:
+    with _output(out, newline="") as handle:
         for line in header:
             handle.write(line + "\n")
-        writer = csv.writer(handle)
-        writer.writerows(rows)
-    finally:
-        if out:
-            handle.close()
+        csv.writer(handle).writerows(rows)
 
 
 def _write_text(out: str | None, text: str) -> None:
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    with _output(out) as handle:
+        handle.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +173,12 @@ def _cmd_probs(args) -> int:
     spec = _spec_from(_merge(args, _SPEC_KEYS))
     table = probability_table(spec)
     if args.format == "json":
-        payload = table.to_json_dict()
-        payload["formula"] = "exact-rank-match-table"
-        payload["version"] = __version__
-        _write_text(args.out, json.dumps(payload, indent=2))
+        with _output(args.out) as handle:
+            table.write_json(handle, formula="exact-rank-match-table", version=__version__)
+            handle.write("\n")
     else:
         header = _header("exact-rank-match-table", {"spec": spec})
-        _write_csv(args.out, header, table.to_csv_rows())
+        _write_csv(args.out, header, itertools.chain([CELL_FIELDS], table.rows()))
     return 0
 
 

@@ -26,8 +26,6 @@ __all__ = [
     "binom",
     "falling_factorial",
     "count_matching",
-    "pascal_rows",
-    "block_hit_sum",
 ]
 
 

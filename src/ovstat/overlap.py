@@ -23,6 +23,7 @@ All probabilities are `fractions.Fraction` values; nothing is rounded.
 from __future__ import annotations
 
 import functools
+import io
 import itertools
 import json
 import numbers
@@ -165,7 +166,7 @@ class ProbabilityTable:
     entries: dict[tuple[int, int], Fraction] = field(repr=False)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        return self.entries.get(key, Fraction(0))
+        return self.entries.get(key, _ZERO)
 
     def total(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -186,37 +187,64 @@ class ProbabilityTable:
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {kl: p for kl, p in self.entries.items() if p != 0}
 
-    def _grid(self):
+    def rows(self, digits: int = 12):
+        """``(k, ell, num, den, decimal)`` for every cell of the N x N grid, k-major.
+
+        The one cell formatter of both outputs: `to_csv_rows` lists these
+        tuples, `to_json_dict` zips each with `CELL_FIELDS`, and `write_json`
+        writes each as one entry, byte for byte as ``json.dumps(..., indent=2)``
+        writes that dict.  ``decimal`` is ``"0"`` for a zero cell, else
+        ``float(p)`` to ``digits`` significant digits.
+        """
         N = self.spec.pooled_size
-        return (((k, ell), self[(k, ell)]) for k in range(1, N + 1) for ell in range(1, N + 1))
+        for k in range(1, N + 1):
+            for ell in range(1, N + 1):
+                p = self[(k, ell)]
+                yield k, ell, p.numerator, p.denominator, _decimal(p, digits)
+
+    def _json_ends(self) -> tuple[dict, dict]:
+        """The JSON form's keys before and after ``entries``."""
+        s, total = self.spec, self.total()
+        head = {"spec": {"r": s.r, "m": s.m, "n": s.n, "i": s.i, "j": s.j}, "pooled_size": s.pooled_size}
+        return head, {"total": {"num": total.numerator, "den": total.denominator}}
 
     def to_json_dict(self, digits: int = 12) -> dict:
-        s = self.spec
-        total = self.total()
-        return {
-            "spec": {"r": s.r, "m": s.m, "n": s.n, "i": s.i, "j": s.j},
-            "pooled_size": s.pooled_size,
-            "entries": [
-                {
-                    "k": k,
-                    "ell": ell,
-                    "num": p.numerator,
-                    "den": p.denominator,
-                    "decimal": _decimal(p, digits),
-                }
-                for (k, ell), p in self._grid()
-            ],
-            "total": {"num": total.numerator, "den": total.denominator},
-        }
+        head, tail = self._json_ends()
+        return {**head, "entries": [dict(zip(CELL_FIELDS, cell)) for cell in self.rows(digits)], **tail}
+
+    def write_json(self, handle, digits: int = 12, **extra) -> None:
+        """Write ``json.dumps({**self.to_json_dict(digits), **extra}, indent=2)``
+        to ``handle``, byte for byte, with one ``handle.write`` per grid row.
+
+        No entry dict is built: each entry is `_JSON_ENTRY` filled from `rows`,
+        whose fields are ints and ASCII decimal strings that JSON does not
+        escape.  The keys around the entries, ``extra`` last, are ``json.dumps``
+        of small dicts.  ``extra`` may not repeat a key of the table.
+        """
+        head, tail = self._json_ends()
+        clash = extra.keys() & {*head, "entries", *tail}
+        if clash:
+            raise ValueError(f"extra keys repeat table keys: {sorted(clash)}")
+        # splice the entries between the head without its closing "\n}" and the tail without its opening "{\n"
+        handle.write(json.dumps(head, indent=2)[:-2] + ',\n  "entries": [')
+        cells, N, sep = self.rows(digits), self.spec.pooled_size, ""
+        for _ in range(N):
+            handle.write(sep + ",".join(_JSON_ENTRY % cell for cell in itertools.islice(cells, N)))
+            sep = ","
+        handle.write("\n  ],\n" + json.dumps({**tail, **extra}, indent=2)[2:])
 
     def to_json(self, digits: int = 12) -> str:
-        return json.dumps(self.to_json_dict(digits), indent=2)
+        buf = io.StringIO()
+        self.write_json(buf, digits)
+        return buf.getvalue()
 
     def to_csv_rows(self, digits: int = 12) -> list[tuple]:
-        rows: list[tuple] = [("k", "ell", "num", "den", "decimal")]
-        for (k, ell), p in self._grid():
-            rows.append((k, ell, p.numerator, p.denominator, _decimal(p, digits)))
-        return rows
+        return [CELL_FIELDS, *self.rows(digits)]
+
+
+CELL_FIELDS = ("k", "ell", "num", "den", "decimal")
+_JSON_ENTRY = '\n    {\n      "k": %d,\n      "ell": %d,\n      "num": %d,\n      "den": %d,\n      "decimal": "%s"\n    }'
+_ZERO = Fraction(0)
 
 
 def _decimal(p: Fraction, digits: int) -> str:

@@ -48,7 +48,6 @@ __all__ = [
     "from_quantile_density",
     "make_family",
     "from_config",
-    "FAMILIES",
 ]
 
 U_MIN = 1e-12

@@ -4,7 +4,8 @@ Each oracle computes a quantity of the library by a second, independent
 route: counting over all permutations, mixing over the pooled rank
 directly, or the per-cell closed form with one ``math.comb`` per binomial
 that the one-pass table build replaces, and the per-rank-pair trinomial
-sum that the rectangle law's matrix form replaces.  The enumerations are
+sum that the rectangle law's matrix form replaces, and the table's CSV
+rows as the list of per-cell tuples that the row generator replaces.  The enumerations are
 exact but factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
 oracles are the straightforward sort-per-row sampler, mask-based rectangle
 counts and the whole-sample ``verify_spec`` built on them, which the streamed
@@ -40,6 +41,17 @@ from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult
 
 MAX_BRUTEFORCE_LENGTH = 10
 MAX_ORACLE_POOLED = 9
+
+# every valid geometry with r <= 3 and m, n <= 6: the benchmark's small tables
+SMALL_SPECS = [
+    OverlapSpec(r, m, n, i, j)
+    for r in range(4)
+    for m in range(1, 7)
+    for n in range(1, 7)
+    if r < m <= n + r
+    for i in range(1, m + 1)
+    for j in range(1, n + 1)
+]
 
 
 def count_matching_bruteforce(p: CountParams) -> int:
@@ -142,6 +154,19 @@ def probability_table_bruteforce(spec: OverlapSpec) -> ProbabilityTable:
         for ell in range(1, N + 1)
     }
     return ProbabilityTable(spec=spec, entries=entries)
+
+
+def probability_table_csv_rows(table: ProbabilityTable, digits: int = 12) -> list[tuple]:
+    """The table's CSV rows as a list of per-cell tuples over the N x N grid,
+    the form `ProbabilityTable.to_csv_rows` had before its row generator."""
+    N = table.spec.pooled_size
+    rows: list[tuple] = [("k", "ell", "num", "den", "decimal")]
+    for k in range(1, N + 1):
+        for ell in range(1, N + 1):
+            p = table.entries.get((k, ell), Fraction(0))
+            decimal = "0" if p == 0 else f"{float(p):.{digits}g}"
+            rows.append((k, ell, p.numerator, p.denominator, decimal))
+    return rows
 
 
 @functools.lru_cache(maxsize=4)

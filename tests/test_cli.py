@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,42 @@ def test_probs_json_bytes_frozen(capsys):
     assert main(argv) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == "6167585fcdde4ceaf0b4781263a9c6a0bc08ab6c63bd8767c523ea856dadb85c"
+
+
+def test_probs_csv_bytes_frozen(capsys):
+    # the same table as CSV, byte for byte as the per-cell list wrote it
+    argv = ["probs", "--r", "40", "--m", "100", "--n", "90", "--i", "50", "--j", "45"]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "4906cc76d59b6ca940ceb1b194311a24ca9a441006bc24a27477c52b004eb378"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_probs_streams_the_table(tmp_path, fmt):
+    # the N = 130 table is written one grid row at a time: no N^2 entry objects
+    out = tmp_path / f"table.{fmt}"
+    argv = ["probs", "--r", "40", "--m", "100", "--n", "90", "--i", "50", "--j", "45", "--format", fmt, "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.read_text().splitlines()) > 130**2
+    assert peak < 4 * 2**20, peak
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    out = str(tmp_path / "missing" / "out")
+    spec = ["--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1"]
+    for argv in (
+        ["probs", *spec, "--out", out],
+        ["probs", *spec, "--format", "json", "--out", out],
+        ["regress", *spec, "--family", "exponential", "--grid", "3", "--out", out],
+    ):
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert f"cannot write {out}" in err and "Traceback" not in err, err
 
 
 def test_probs_invalid_spec_exit_2(capsys):

@@ -18,20 +18,11 @@ from ovstat.density import (
 from ovstat.overlap import OverlapSpec, probability_table
 
 import oracles
-from oracles import extension_density
+from oracles import SMALL_SPECS, extension_density
 
 UNI = parent.uniform()
 EXP = parent.exponential()
 INF = math.inf
-SMALL_SPECS = [
-    OverlapSpec(r, m, n, i, j)
-    for r in range(4)
-    for m in range(1, 7)
-    for n in range(1, 7)
-    if r < m <= n + r
-    for i in range(1, m + 1)
-    for j in range(1, n + 1)
-]
 
 
 def test_marginal_os_density_examples():

@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 from fractions import Fraction
@@ -14,7 +15,12 @@ from ovstat.overlap import (
     rank_match_probability,
 )
 
-from oracles import probability_table_bruteforce, rank_match_probability_reference
+from oracles import (
+    SMALL_SPECS,
+    probability_table_bruteforce,
+    probability_table_csv_rows,
+    rank_match_probability_reference,
+)
 
 
 def test_spec_validation():
@@ -229,3 +235,20 @@ def test_csv_rows_cover_full_grid():
         if (k, ell) not in table.entries:
             assert (num, den, decimal) == (0, 1, "0")
     assert (4, 4, 0, 1, "0") in rows
+
+
+def test_json_writer_and_csv_rows_equal_their_references():
+    # the streamed writer against json.dumps of the structured form, and the
+    # row generator against the per-cell list, on the small tables and at N = 130
+    extras = ({}, {"formula": "exact-rank-match-table", "version": "0.1.0"})
+    for spec in [*SMALL_SPECS, OverlapSpec(40, 100, 90, 50, 45)]:
+        table = probability_table(spec)
+        for digits in (3, 12, 17):
+            assert table.to_csv_rows(digits) == probability_table_csv_rows(table, digits), (spec, digits)
+            payload = table.to_json_dict(digits)
+            for extra in extras:
+                buf = io.StringIO()
+                table.write_json(buf, digits, **extra)
+                assert buf.getvalue() == json.dumps({**payload, **extra}, indent=2), (spec, digits, extra)
+    with pytest.raises(ValueError, match="total"):
+        table.write_json(io.StringIO(), total=1)
