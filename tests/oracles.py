@@ -5,8 +5,9 @@ route: counting over all permutations, mixing over the pooled rank
 directly, or the per-cell closed form with one ``math.comb`` per binomial
 that the one-pass table build replaces, and the per-rank-pair trinomial
 sum that the rectangle law's matrix form replaces, and the table's CSV
-rows as the list of per-cell tuples that the row generator replaces.  The enumerations are
-exact but factorial in cost, so each refuses sizes above its budget.  The Monte Carlo
+rows as the list of per-cell tuples that the row generator replaces.  The
+enumerations are exact but factorial in cost, so each refuses sizes above
+its budget.  The Monte Carlo
 oracles are the straightforward sort-per-row sampler, mask-based rectangle
 counts and the whole-sample ``verify_spec`` built on them, which the streamed
 kernels in ``ovstat.mc`` must reproduce bit for bit, and mask-based binning
