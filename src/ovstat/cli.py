@@ -10,8 +10,8 @@ Subcommands
 Spec and model options may come from flags or from one JSON config file
 (``--config``, read once per command; ``reconstruct`` takes flags only);
 flags win on conflict.  Exit codes: 0 ok, 2 configuration error or an
-``--out`` path that cannot be written, 3 invalid mathematical input,
-4 verification failure.
+``--out`` path or stdout that cannot be written, 3 invalid mathematical
+input, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import contextlib
 import csv
 import itertools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -141,9 +142,16 @@ def _header(formula: str, extra: dict) -> list[str]:
 @contextlib.contextmanager
 def _output(out: str | None, newline: str | None = None):
     """The open output file, or stdout without a path; a failure to open or
-    write the file is a configuration error that names it."""
+    write either is a configuration error that names it.  After a failed
+    stdout write, stdout points at the null device, so that the
+    interpreter's final flush does not fail again."""
     if not out:
-        yield sys.stdout
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise ConfigError(f"cannot write stdout: {exc.strerror or exc}") from None
         return
     try:
         with open(out, "w", newline=newline) as handle:
@@ -305,36 +313,23 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
     spec, model = _spec_from(cfg), _model_from(cfg)
-    reports = [
-        verify_spec(
-            spec,
-            model,
-            count=args.reps,
-            seed=args.seed,
-            zmax=args.zmax,
-            workers=args.workers,
-        )
-    ]
-    if args.regression:
-        reports.append(
-            regression_comparison(
-                spec,
-                model,
-                count=args.reps,
-                seed=args.seed + 1,
-                zmax=args.zmax,
-                trim=(0.1, 0.9),
-                workers=args.workers,
+    # the output is opened first, so that a bad path costs no Monte Carlo run
+    with _output(args.out) as handle:
+        reports = [verify_spec(spec, model, count=args.reps, seed=args.seed, zmax=args.zmax, workers=args.workers)]
+        if args.regression:
+            reports.append(
+                regression_comparison(
+                    spec, model, count=args.reps, seed=args.seed + 1, zmax=args.zmax, trim=(0.1, 0.9), workers=args.workers
+                )
             )
-        )
-    passed = all(rep.passed for rep in reports)
-    payload = {
-        "formula": "mc-verification",
-        "version": __version__,
-        "passed": passed,
-        "reports": [rep.to_json_dict() for rep in reports],
-    }
-    _write_text(args.out, json.dumps(payload, indent=2))
+        passed = all(rep.passed for rep in reports)
+        payload = {
+            "formula": "mc-verification",
+            "version": __version__,
+            "passed": passed,
+            "reports": [rep.to_json_dict() for rep in reports],
+        }
+        handle.write(json.dumps(payload, indent=2) + "\n")
     return 0 if passed else 4
 
 

@@ -22,13 +22,11 @@ stored at the block's index; the partials are summed in block order, so
 every report is bit-identical for any worker count.  `simulate_pairs` writes
 the block's quantile values into its output slices; the regression checks
 keep per-bin counts and sums of them; `verify_spec` keeps the rank-pair
-counts and the rectangle-grid cell counts, comparing levels with one
-threshold per cut, and calls no quantile per block.  For a given seed and
-chunk size the samples and the `verify_spec` reports are those of one
-whole-chunk draw with row sorts, full rank counts and quantile values
-(unless two draws of one row are equal, which has probability below
-N^2 / 2^54, or Q is not monotone on the 2^-53 lattice of draw levels).  No
-report stores the sample.
+counts and the rectangle-grid cell counts of the draw levels, and takes no
+quantile at all.  For a given seed and chunk size the samples and the
+`verify_spec` reports are those of one whole-chunk draw with row sorts, full
+rank counts and quantile values (unless two draws of one row are equal,
+which has probability below N^2 / 2^54).  No report stores the sample.
 
 The regression checks bin the pairs by the level F(Y) of the conditioner
 Y, the j-th os of n draws, so F(Y) ~ Beta(j, n - j + 1): the bin edges are
@@ -53,7 +51,7 @@ import numpy as np
 from .combinatorics import pascal_rows
 from .density import _gl_nodes, _os_kernel, rectangle_probability
 from .overlap import OverlapSpec, cached_table
-from .parent import U_MIN, ParentModel
+from .parent import U_MIN, ParentModel, uniform
 from .regression import mean_original_given_extended
 
 __all__ = [
@@ -419,36 +417,6 @@ def _rectangle_cells(x: np.ndarray, y: np.ndarray, x_cuts, y_cuts) -> np.ndarray
     return np.bincount(cell, minlength=(len(x_cuts) + 1) * width).reshape(-1, width)
 
 
-def _level_thresholds(model: ParentModel, levels: np.ndarray, cuts: np.ndarray) -> np.ndarray:
-    """The largest draw level t on the generator's 2^-53 lattice with Q(clip(t)) <= cut, per cut.
-
-    A draw u then has Q(clip(u)) <= cut exactly when u <= t, provided Q is
-    monotone on the lattice.  Q(level) = cut, so the search starts at
-    floor(level * 2^53), gallops away from it until the comparison flips
-    (-1 lies below every cut and 2^53, the level 1, above), then bisects.
-    """
-    lattice = 2**53
-
-    def below(k: np.ndarray) -> np.ndarray:
-        return (k < 0) | ((k < lattice) & (_values(model, np.maximum(k, 0) / lattice) <= cuts))
-
-    near = np.floor(levels * lattice).astype(np.int64)
-    side = below(near)
-    step = np.where(side, 1, -1)
-    while True:
-        far = np.clip(near + step, -1, lattice)
-        same = below(far) == side
-        if not same.any():
-            break
-        near, step = np.where(same, far, near), np.where(same, 2 * step, step)
-    lo, hi = np.where(side, near, far), np.where(side, far, near)
-    while np.any(hi - lo > 1):
-        mid = lo + (hi - lo) // 2
-        is_below = below(mid)
-        lo, hi = np.where(is_below, mid, lo), np.where(is_below, hi, mid)
-    return lo / lattice
-
-
 def verify_spec(
     spec: OverlapSpec,
     model: ParentModel,
@@ -460,19 +428,17 @@ def verify_spec(
     """Compare the exact rank-pair table and rectangle probabilities with MC.
 
     Each block is reduced to its rank-pair counts and its rectangle-grid cell
-    counts; no sample is stored.  The cells are counted on the draw levels
-    against the `_level_thresholds` of the cuts Q(level), so no quantile is
-    taken of the draws; the counts are those of Q against the cuts while Q is
-    monotone on the 2^-53 lattice of draw levels.  N above 1029 is refused
-    with ``ValueError`` (see `rectangle_probability`) before the table is built.
+    counts; no sample is stored.  A rectangle P(X <= Q(a), Y <= Q(b)) is
+    P(F(X) <= a, F(Y) <= b) for any parent, so the cells are counted on the
+    draw levels and the law is that of the uniform parent at the levels: the
+    model supplies only its name.  N above 1029 is refused with
+    ``ValueError`` (see `rectangle_probability`) before the table is built.
     """
     levels = _RECTANGLE_LEVELS
-    cuts = np.asarray(model.quantile(levels), dtype=float)
-    probs = rectangle_probability(spec, model, cuts[:, None], cuts[None, :])
-    thresholds = _level_thresholds(model, levels, cuts)
+    probs = rectangle_probability(spec, uniform(), levels[:, None], levels[None, :])
 
     def counts(rows: slice, xu: np.ndarray, yu: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _pair_counts(spec, columns, xu, yu), _rectangle_cells(xu, yu, thresholds, thresholds)
+        return _pair_counts(spec, columns, xu, yu), _rectangle_cells(xu, yu, levels, levels)
 
     partials = _reduce_blocks(spec, count, seed, counts, **sim_kwargs)
     pairs, cells = sum(p for p, _ in partials), sum(c for _, c in partials)

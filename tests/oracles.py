@@ -37,7 +37,7 @@ from ovstat.curve import Curve
 from ovstat.density import NuDensity, _assemble, rectangle_probability as _rectangle_law
 from ovstat.mc import _RECTANGLE_LEVELS, Comparison, MCReport, PairSample, _chunk_ranges, _level_edges
 from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
-from ovstat.parent import U_MIN, ParentModel
+from ovstat.parent import U_MIN, ParentModel, uniform
 from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _derivative, _finish
 
 MAX_BRUTEFORCE_LENGTH = 10
@@ -257,7 +257,7 @@ def rectangle_probability(spec: OverlapSpec, model: ParentModel, x: float, y: fl
 def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, index: int):
     """One chunk of the sort-per-row sampler: whole-row sorts and N-column rank counts.
 
-    Returns x, y, their ranks and the level of y (its uniform before the quantile)."""
+    Returns x, y, their ranks and the levels of x and y (their uniforms before the quantile)."""
     rng = np.random.Generator(
         np.random.Philox(key=np.array([seed, index], dtype=np.uint64))
     )
@@ -269,7 +269,7 @@ def simulate_chunk(spec: OverlapSpec, model: ParentModel, size: int, seed: int, 
     rank_y = (u <= yu[:, None]).sum(axis=1).astype(np.int16)
     x = np.asarray(model.quantile(np.clip(xu, U_MIN, 1.0 - U_MIN)), dtype=float)
     y = np.asarray(model.quantile(np.clip(yu, U_MIN, 1.0 - U_MIN)), dtype=float)
-    return x, y, rank_x, rank_y, yu
+    return x, y, rank_x, rank_y, xu, yu
 
 
 def simulate_pairs(
@@ -286,7 +286,7 @@ def simulate_pairs(
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    x, y, rank_x, rank_y, _ = _whole_sample(spec, model, count, seed, chunk_size)
+    x, y, rank_x, rank_y, _, _ = _whole_sample(spec, model, count, seed, chunk_size)
     return PairSample(spec=spec, model_name=model.name, seed=seed, x=x, y=y, rank_x=rank_x, rank_y=rank_y)
 
 
@@ -309,7 +309,7 @@ def level_binned_means(
 
     Bin b holds the draws whose level of y lies in [edges[b], edges[b+1]).
     """
-    x, y, _, _, yu = _whole_sample(spec, model, count, seed, chunk_size)
+    x, y, _, _, _, yu = _whole_sample(spec, model, count, seed, chunk_size)
     values = x - y if difference else x
     edges = _level_edges(spec, np.linspace(*trim, bins + 1))
     counts, means, ses = [], [], []
@@ -334,17 +334,20 @@ def verify_spec(
     count: int = 10**6,
     seed: int = 0,
     zmax: float = 4.0,
-    **sim_kwargs,
+    chunk_size: int = 1_000_000,
+    workers: int | None = None,
 ) -> MCReport:
     """`ovstat.mc.verify_spec` over a stored sample of the sort-per-row sampler.
 
     The tie table comes from one ``bincount`` of the sample's rank pairs and
-    the rectangles from one mask each.
+    the rectangles from one mask each on the sample's levels, against the
+    law of the uniform parent at the levels.  The stream depends on the chunk
+    partition only, so ``workers`` is ignored.
     """
-    sample = simulate_pairs(spec, model, count, seed, **sim_kwargs)
+    _, _, rank_x, rank_y, xu, yu = _whole_sample(spec, model, count, seed, chunk_size)
     table = cached_table(spec)
     N = spec.pooled_size
-    flat = np.bincount((sample.rank_x.astype(np.int64) - 1) * N + (sample.rank_y.astype(np.int64) - 1), minlength=N * N)
+    flat = np.bincount((rank_x.astype(np.int64) - 1) * N + (rank_y.astype(np.int64) - 1), minlength=N * N)
     freqs = {(k, ell): int(flat[(k - 1) * N + (ell - 1)]) / count for k in range(1, N + 1) for ell in range(1, N + 1) if flat[(k - 1) * N + (ell - 1)]}
     comparisons: list[Comparison] = []
 
@@ -362,15 +365,14 @@ def verify_spec(
         Comparison(
             "diagonal-mass",
             diag,
-            sample.tie_frequency(),
+            float(np.mean(rank_x == rank_y)),
             math.sqrt(diag * (1.0 - diag) / count) if 0.0 < diag < 1.0 else 0.0,
         )
     )
 
     levels = _RECTANGLE_LEVELS
-    cuts = np.asarray(model.quantile(levels), dtype=float)
-    frequencies = rectangle_frequencies(sample.x, sample.y, cuts, cuts)
-    probs = _rectangle_law(spec, model, cuts[:, None], cuts[None, :])
+    frequencies = rectangle_frequencies(xu, yu, levels, levels)
+    probs = _rectangle_law(spec, uniform(), levels[:, None], levels[None, :])
     for a, b in np.ndindex(probs.shape):
         p, emp = float(probs[a, b]), float(frequencies[a, b])
         se = math.sqrt(p * (1.0 - p) / count) if 0.0 < p < 1.0 else 0.0

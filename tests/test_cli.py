@@ -1,12 +1,16 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from ovstat import parent
+import ovstat
+from ovstat import cli, parent
 from ovstat.cli import main
 from ovstat.density import overlap_density
 from ovstat.overlap import OverlapSpec
@@ -85,6 +89,51 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
         assert main(argv) == 2, argv
         err = capsys.readouterr().err
         assert f"cannot write {out}" in err and "Traceback" not in err, err
+
+
+def test_verify_checks_its_out_path_before_the_run(tmp_path, capsys, monkeypatch):
+    def run(*args, **kwargs):
+        raise AssertionError("the Monte Carlo check ran before the --out path was opened")
+
+    monkeypatch.setattr(cli, "verify_spec", run)
+    out = str(tmp_path / "missing" / "out")
+    argv = ["verify", "--r", "1", "--m", "3", "--n", "3", "--i", "2", "--j", "2", "--family", "exponential", "--out", out]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot write {out}" in err, err
+
+
+PROBS_130 = ["probs", "--r", "40", "--m", "100", "--n", "90", "--i", "50", "--j", "45", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "sink, argv",
+    [
+        ("closed pipe", PROBS_130),
+        ("/dev/full", PROBS_130),
+        ("/dev/full", ["probs", "--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1"]),  # fails only on the flush
+    ],
+    ids=["pipe", "full", "full-small"],
+)
+def test_stdout_write_error_exits_2(sink, argv):
+    if sink == "/dev/full" and not os.path.exists(sink):
+        pytest.skip("no /dev/full on this platform")
+    src = os.path.dirname(os.path.dirname(ovstat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    command = [sys.executable, "-m", "ovstat.cli", *argv]
+    if sink == "closed pipe":
+        proc = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        code = proc.wait()
+    else:
+        with open(sink, "w") as stdout:
+            done = subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, env=env)
+        code, err = done.returncode, done.stderr.decode()
+    assert code == 2, err
+    assert err.startswith("error: cannot write stdout: ") and "Traceback" not in err and "Exception" not in err, err
 
 
 def test_probs_invalid_spec_exit_2(capsys):

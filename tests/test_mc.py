@@ -421,48 +421,32 @@ def test_rectangle_frequencies_match_masks():
         assert np.array_equal(got, want)
 
 
-# -- rectangle cells on levels: thresholds instead of quantiles ----------------
-
-THRESHOLD_PARENTS = {
-    "exponential": parent.exponential(),
-    "logistic": parent.logistic(),
-    "cb(0.5,1.5)": PARENTS["cb"],
-    "cb(0.95,0.95)": parent.complementary_beta(0.95, 0.95),
-    "shifted_scaled": parent.logistic().shifted_scaled(2.0, 3.5),
-    "negate": PARENTS["cb"].negate(),
-}
+# -- rectangle cells on levels: no quantile or cdf of the parent ---------------
 
 
 def test_verify_spec_passes_no_draw_through_the_quantile():
-    points = []
+    points, cdf_points = [], []
 
     def counted(u):
         points.append(np.size(u))
         return PARENTS["cb"].quantile(u)
 
-    model = dataclasses.replace(PARENTS["cb"], quantile=counted)
+    def counted_cdf(x):
+        cdf_points.append(np.size(x))
+        return PARENTS["cb"].cdf(x)
+
+    model = dataclasses.replace(PARENTS["cb"], quantile=counted, cdf=counted_cdf)
     report = verify_spec(OverlapSpec(1, 3, 3, 2, 2), model, count=200_000, seed=8, workers=2)
     assert report.passed
-    # the cuts and the threshold search; one quantile per drawn os would be 400,000
-    assert sum(points) < 1_000, sum(points)
+    # the cells are counted and the law is taken on the levels themselves
+    assert points == [] and cdf_points == [], (points, cdf_points)
 
 
-@pytest.mark.parametrize("name", THRESHOLD_PARENTS)
-def test_level_thresholds_split_the_draw_lattice_at_the_cuts(name):
-    model, step = THRESHOLD_PARENTS[name], 2.0**-53
-    levels = mc._RECTANGLE_LEVELS
-    # the verify cuts Q(level), then cuts a little off them, which start the
-    # search on the far side (downward) or some way short (upward) of its end
-    for cuts in (model.quantile(levels), model.quantile(levels - 1e-9), model.quantile(levels + 1e-9)):
-        cuts = np.asarray(cuts, dtype=float)
-        t = mc._level_thresholds(model, levels, cuts)
-        assert np.array_equal(t, np.round(t / step) * step)  # on the lattice
-        assert np.all(mc._values(model, t) <= cuts) and np.all(cuts < mc._values(model, t + step))
-        # draws planted on and next to each threshold, where no random draw lands
-        xu = (t[:, None] + step * np.arange(-1, 2)).ravel()
-        yu = xu[::-1].copy()
-        got = mc._rectangle_cells(xu, yu, t, t)
-        want = mc._rectangle_cells(mc._values(model, xu), mc._values(model, yu), cuts, cuts)
-        assert np.array_equal(got, want)
-        below = mc._values(model, xu)[:, None] <= cuts
-        assert np.array_equal(got.sum(axis=1).cumsum()[:-1], below.sum(axis=0))
+def test_verify_spec_comparisons_do_not_depend_on_the_parent():
+    # the rank pairs and the rectangles on levels are the law of the uniform
+    # order statistics, whatever the parent's float resolution
+    spec, exp, cb = OverlapSpec(1, 3, 3, 2, 2), parent.exponential(), PARENTS["cb"]
+    models = [exp, exp.shifted_scaled(1e6, 1.0), cb, cb.negate()]
+    first, *rest = (verify_spec(spec, model, count=200_000, seed=8).comparisons for model in models)
+    for comparisons in rest:
+        assert comparisons == first
