@@ -13,10 +13,15 @@ evaluated in quantile coordinates by one vectorised tanh-sinh rule on (0, 1)
 (:mod:`ovstat._tanh_sinh`, shared with the reconstruction routes): 289
 nodes, levels exact at the left end and capped at 1 - 2^-53 on the right; a
 conditioning level F(y) that has reached the cap is refused wherever the
-levels above it carry weight.  A mixture sums its kernels on the nodes first,
-so a point costs one quantile evaluation on each side of the conditioning
-level.  The second curve is the first one of the swapped geometry
-(:meth:`ovstat.overlap.OverlapSpec.swapped`), which exchanges the two samples.
+levels above it carry weight.  A mixture's kernels are built once per
+geometry and cached: per rank of the conditioning os, its atom and its beta
+kernels below and above the conditioning level summed on the nodes.  They are
+the conditional law of the first os's level given the second's, which does
+not depend on the parent.  A point then costs one cdf call, the level
+factors, two small matrix-vector products and one quantile evaluation on each
+side of the conditioning level.  The second curve is the first one of the
+swapped geometry (:meth:`ovstat.overlap.OverlapSpec.swapped`), which
+exchanges the two samples, and shares its cached kernels.
 
 Specialised closed forms for the smallest genuinely overlapping geometry
 (offset 1, both samples of size 2) and for extension-sample regressions
@@ -28,6 +33,7 @@ the verification suite.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from typing import Callable
 
@@ -110,37 +116,39 @@ def conditional_os_mean(model: ParentModel, k: int, ell: int, N: int, y: float) 
     return _integral_above(model, _beta_kernel(k - ell, N - ell), w)  # (k-ell)-th of N-ell above y
 
 
+@functools.lru_cache(maxsize=512)
+def _mixture_kernels(spec: OverlapSpec) -> tuple[np.ndarray, ...]:
+    """The rank mixture's rows, one per rank ell of the second os in the pooled
+    sample: the exponents of F(y) and 1 - F(y) and the constant of the level
+    factor, the atom at y, and the kernels of the terms k < ell and k > ell
+    summed on the rule's nodes.  The arrays are read-only, as every caller of
+    a geometry shares them."""
+    N, j, table = spec.pooled_size, spec.j, cached_table(spec)
+    rows = []
+    for ell in spec.ell_support:
+        p = {k: float(table[(k, ell)]) for k in spec.k_support}
+        below = sum((q * _beta_kernel(k, ell - 1) for k, q in p.items() if k < ell), np.zeros_like(_X))
+        above = sum((q * _beta_kernel(k - ell, N - ell) for k, q in p.items() if k > ell), np.zeros_like(_X))
+        const = (ell * binom(N, ell)) / (j * binom(spec.n, j))
+        rows.append((ell - j, j + spec.r - ell, const, p.get(ell, 0.0), below, above))
+    arrays = tuple(np.array(column) for column in zip(*rows))
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float) -> float:
     """E(first os | second os = y): the full rank-mixture representation.
 
-    The mixture's terms with k < ell (k > ell) all integrate Q over the levels
-    below (above) F(y), so their kernels are summed on the rule's nodes and
-    each side costs one quantile evaluation.
+    Only the level factor of each row of :func:`_mixture_kernels` depends on
+    F(y), so a point costs one cdf call and one quantile evaluation on each
+    side of F(y).
     """
     _check_mean(model)
-    N = spec.pooled_size
+    a, b, const, atoms, below, above = _mixture_kernels(spec)
     F = float(model.cdf(y))
-    Fb = 1.0 - F
-    j, n = spec.j, spec.n
-    table = cached_table(spec)
-    at_y = 0.0
-    below = np.zeros_like(_X)
-    above = np.zeros_like(_X)
-    for ell in spec.ell_support:
-        wf = (ell * binom(N, ell)) / (j * binom(n, j)) * F ** (ell - j) * Fb ** (j + spec.r - ell)
-        if wf == 0.0:
-            continue
-        for k in spec.k_support:
-            p = float(table[(k, ell)])
-            if p == 0.0:
-                continue
-            if k < ell:
-                below += p * wf * _beta_kernel(k, ell - 1)
-            elif k > ell:
-                above += p * wf * _beta_kernel(k - ell, N - ell)
-            else:
-                at_y += p * wf
-    return at_y * y + _integral(model, below, 0.0, F) + _integral_above(model, above, F)
+    wf = const * F**a * (1.0 - F) ** b
+    return float(wf @ atoms) * y + _integral(model, wf @ below, 0.0, F) + _integral_above(model, wf @ above, F)
 
 
 def mean_extended_given_original(spec: OverlapSpec, model: ParentModel, x: float) -> float:

@@ -15,7 +15,10 @@ on the sampler's levels, which the streamed bin sums must match to rounding.
 The reconstruction oracles are the scipy versions of the adjacent-gap route
 (``quad`` per grid panel on a ``PchipInterpolator``) and of the single-draw
 slope route (``brentq`` per point), and the mirrored min- and
-max-regression bodies that the single-draw kernel's two ends replace.
+max-regression bodies that the single-draw kernel's two ends replace.  The
+regression oracle is the per-term rank mixture, which builds every term's
+beta kernel and converts every table cell at each point, that the cached
+per-geometry kernels of ``ovstat.regression`` replace.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
+from ovstat._tanh_sinh import X as TANH_SINH_NODES
 from ovstat.combinatorics import CountParams, binom
 from ovstat.curve import Curve
 from ovstat.density import NuDensity, _assemble, rectangle_probability as _rectangle_law
@@ -39,6 +43,7 @@ from ovstat.mc import _RECTANGLE_LEVELS, Comparison, MCReport, PairSample, _chun
 from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel, uniform
 from ovstat.reconstruct import _SLACK, ReconstructionError, ReconstructionResult, _derivative, _finish
+from ovstat.regression import _beta_kernel, _integral, _integral_above
 
 MAX_BRUTEFORCE_LENGTH = 10
 MAX_ORACLE_POOLED = 9
@@ -537,3 +542,33 @@ def from_max_regression(curve: Curve, n: int, m: int, derivative=None) -> Recons
         raise ReconstructionError("slope identically 1 corresponds to a degenerate cdf")
     f = np.minimum(gp, 1.0) ** (1.0 / (n - m))
     return _finish(curve.grid, f, gauge="none", extra={"slope_range": (float(gp.min()), float(gp.max()))})
+
+
+def mean_original_given_extended_reference(spec: OverlapSpec, model: ParentModel, y: float) -> float:
+    """E(first os | second os = y) summed term by term: for every rank pair
+    (k, ell) with a nonzero cell, its weight times its beta kernel on the
+    rule's nodes, the terms with k < ell (k > ell) integrated below (above)
+    F(y) by one quantile call per side."""
+    N = spec.pooled_size
+    F = float(model.cdf(y))
+    Fb = 1.0 - F
+    j, n = spec.j, spec.n
+    table = cached_table(spec)
+    at_y = 0.0
+    below = np.zeros_like(TANH_SINH_NODES)
+    above = np.zeros_like(TANH_SINH_NODES)
+    for ell in spec.ell_support:
+        wf = (ell * binom(N, ell)) / (j * binom(n, j)) * F ** (ell - j) * Fb ** (j + spec.r - ell)
+        if wf == 0.0:
+            continue
+        for k in spec.k_support:
+            p = float(table[(k, ell)])
+            if p == 0.0:
+                continue
+            if k < ell:
+                below += p * wf * _beta_kernel(k, ell - 1)
+            elif k > ell:
+                above += p * wf * _beta_kernel(k - ell, N - ell)
+            else:
+                at_y += p * wf
+    return at_y * y + _integral(model, below, 0.0, F) + _integral_above(model, above, F)

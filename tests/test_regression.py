@@ -5,7 +5,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ovstat import parent
+from oracles import mean_original_given_extended_reference
+from ovstat import parent, regression
 from ovstat.combinatorics import binom
 from ovstat.curve import Curve, tabulate
 from ovstat.overlap import OverlapSpec, probability_table
@@ -344,3 +345,53 @@ def test_upper_side_refused_once_level_rounds_to_one():
     # (measured 1.7e-5)
     got = mean_original_given_extended(spec, LOG, 30.0)
     assert relative_error(got, mp_mixture(spec, "logistic", 30.0)) <= 1e-4
+
+
+# criterion 7's and 9's geometries and others of N = 3..9, with both ends of
+# the overlap (r = 0, and m = n + r) and j at either end of its sample
+MIXTURE_SPECS = [
+    OverlapSpec(1, 3, 3, 2, 2),
+    OverlapSpec(0, 2, 4, 1, 2),
+    OverlapSpec(2, 4, 5, 2, 3),
+    OverlapSpec(3, 6, 6, 3, 4),
+    OverlapSpec(0, 2, 4, 2, 3),
+    OverlapSpec(0, 3, 5, 2, 3),
+    OverlapSpec(1, 2, 2, 2, 2),
+    OverlapSpec(0, 1, 2, 1, 1),
+    OverlapSpec(3, 5, 4, 3, 2),
+    OverlapSpec(2, 3, 4, 1, 4),
+    OverlapSpec(1, 4, 6, 4, 1),
+    OverlapSpec(3, 4, 5, 1, 5),
+]
+MIXTURE_PARENTS = [EXP, LOG, UNI, parent.complementary_beta(0.5, 1.5), parent.negative_pareto(3.0)]
+
+
+@pytest.mark.parametrize("model", MIXTURE_PARENTS, ids=lambda model: model.name)
+def test_mixture_equals_the_per_term_reference(model):
+    worst = 0.0
+    for y in np.asarray(model.quantile(np.linspace(0.01, 0.99, 99)), dtype=float):
+        for spec in MIXTURE_SPECS:
+            for got, want in [
+                (mean_original_given_extended(spec, model, y), mean_original_given_extended_reference(spec, model, y)),
+                (mean_extended_given_original(spec, model, y), mean_original_given_extended_reference(spec.swapped(), model, y)),
+            ]:
+                # the scale of the value: where it is far above y (the highest os
+                # given the lowest), one ulp of it exceeds 1e-15 of y
+                worst = max(worst, abs(got - want) / max(abs(want), 1.0))
+    assert worst <= 1e-15, worst
+
+
+def test_mixture_kernels_are_built_once_per_geometry():
+    spec = OverlapSpec(2, 4, 5, 2, 3)
+    kernels = regression._mixture_kernels
+    kernels.cache_clear()
+    tabulate(lambda y: mean_original_given_extended(spec, LOG, y), LOG, size=99)
+    assert kernels.cache_info().misses == 1
+    # the other direction of the swapped geometry is this one's first direction
+    mean_extended_given_original(spec.swapped(), EXP, 0.7)
+    assert kernels.cache_info().misses == 1
+    cached = kernels(spec)
+    assert len(cached) == 6
+    for array in cached:
+        with pytest.raises(ValueError):
+            array[...] = 0.0
