@@ -347,8 +347,9 @@ def test_upper_side_refused_once_level_rounds_to_one():
     assert relative_error(got, mp_mixture(spec, "logistic", 30.0)) <= 1e-4
 
 
-# criterion 7's and 9's geometries and others of N = 3..9, with both ends of
-# the overlap (r = 0, and m = n + r) and j at either end of its sample
+# criterion 9's midsample geometries (0,2,4,1,2), (0,2,4,2,3), (0,3,5,2,3)
+# and others with N = 2..9: both ends of the overlap (r = 0, and m = n + r)
+# and j at either end of its sample
 MIXTURE_SPECS = [
     OverlapSpec(1, 3, 3, 2, 2),
     OverlapSpec(0, 2, 4, 1, 2),
