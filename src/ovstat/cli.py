@@ -313,6 +313,10 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_verify(args) -> int:
     cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
     spec, model = _spec_from(cfg), _model_from(cfg)
+    if args.reps < 1:
+        raise ConfigError("reps must be >= 1")
+    if not args.zmax > 0:
+        raise ConfigError("zmax must be > 0")
     # the output is opened first, so that a bad path costs no Monte Carlo run
     with _output(args.out) as handle:
         reports = [verify_spec(spec, model, count=args.reps, seed=args.seed, zmax=args.zmax, workers=args.workers)]

@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .combinatorics import pascal_rows
-from .density import _gl_nodes, _os_kernel, rectangle_probability
+from .density import _os_kernel, rectangle_probability
 from .overlap import OverlapSpec, cached_table
 from .parent import U_MIN, ParentModel, uniform
 from .regression import mean_original_given_extended
@@ -93,6 +93,11 @@ class PairSample:
 
     def tie_frequency(self) -> float:
         return float(np.mean(self.rank_x == self.rank_y))
+
+
+def _gl_nodes(order: int) -> tuple[np.ndarray, np.ndarray]:
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights  # mapped to (0, 1)
 
 
 def _chunk_ranges(count: int, chunk_size: int) -> list[tuple[int, int]]:

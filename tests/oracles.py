@@ -18,7 +18,9 @@ slope route (``brentq`` per point), and the mirrored min- and
 max-regression bodies that the single-draw kernel's two ends replace.  The
 regression oracle is the per-term rank mixture, which builds every term's
 beta kernel and converts every table cell at each point, that the cached
-per-geometry kernels of ``ovstat.regression`` replace.
+per-geometry kernels of ``ovstat.regression`` replace.  The nu-mass oracle is
+the 2-D Gauss-Legendre quadrature of the assembled density that the
+library's duality audit and weight total replace.
 """
 
 from __future__ import annotations
@@ -228,6 +230,30 @@ def extension_density(i: int, m: int, j: int, n: int, model: ParentModel) -> NuD
         else:
             cont.append((k, j, w))
     return _assemble(model, n, cont, atoms)
+
+
+def nu_mass_quadrature(d: NuDensity, order: int) -> float:
+    """nu-mass of the assembled density by Gauss-Legendre in quantile coordinates.
+
+    Each off-diagonal triangle is mapped onto the unit square (one coordinate
+    rescaled by the other), under which the os kernels stay polynomial, so an
+    order of N / 2 or more integrates them exactly where f(Q(u)) q(u) = 1.
+    It reads ``continuous`` and ``atom`` themselves, so it covers the kernels
+    and the k > ell exchange, which the library's weight total does not.
+    """
+    model = d.model
+    z, wz = np.polynomial.legendre.leggauss(order)
+    z, wz = 0.5 * (z + 1.0), 0.5 * wz
+    wgt = np.repeat(wz, order) * np.tile(wz, order)
+    outer = np.repeat(z, order)
+    inner = outer * np.tile(z, order)
+    total = 0.0
+    # upper triangle u < v with u = v*s, then lower triangle u > v with v = u*s;
+    # the Jacobian of either map is the outer coordinate
+    for u, v in ((inner, outer), (outer, inner)):
+        g = d.continuous(model.quantile(u), model.quantile(v)) * model.quantile_density(u) * model.quantile_density(v)
+        total += float(np.sum(wgt * g * outer))
+    return total + float(np.sum(wz * d.atom(model.quantile(z)) * model.quantile_density(z)))
 
 
 def _uniform_os_pair_cdf(k: int, ell: int, N: int, a: float, b: float) -> float:

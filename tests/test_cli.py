@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -201,6 +202,26 @@ def test_density_grid_equals_per_row_construction(tmp_path, family, model):
     assert read_rows(out) == want
 
 
+def test_density_refuses_tol_not_above_zero(tmp_path, capsys):
+    args = ["density", "--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1", "--family", "exponential", "--grid", "3"]
+    for tol in ("nan", "-1", "0"):
+        out = tmp_path / "dens.csv"
+        assert main(args + ["--tol", tol, "--out", str(out)]) == 2, tol
+        assert not out.exists()
+        assert "tol" in capsys.readouterr().err
+
+
+def test_density_exits_3_on_a_parent_off_its_duality(monkeypatch, tmp_path, capsys):
+    exp = parent.exponential()
+    bad = dataclasses.replace(exp, pdf=lambda x: 1.01 * exp.pdf(x))
+    monkeypatch.setattr(cli, "_model_from", lambda cfg: bad)
+    out = tmp_path / "dens.csv"
+    args = ["density", "--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1", "--family", "exponential", "--out", str(out)]
+    assert main(args) == 3
+    assert not out.exists()
+    assert "duality" in capsys.readouterr().err
+
+
 def test_regress_identity(tmp_path):
     out = tmp_path / "curve.csv"
     assert main(
@@ -302,6 +323,19 @@ def test_verify_roundtrip_and_failure(tmp_path):
     assert out1.read_text() == out2.read_text()
     assert json.loads(out1.read_text())["passed"] is True
     assert main(args + ["--zmax", "0.001"]) == 4
+
+
+@pytest.mark.parametrize("flag, value", [("--reps", "0"), ("--reps", "-5"), ("--zmax", "nan"), ("--zmax", "-1"), ("--zmax", "0")])
+def test_verify_refuses_reps_and_zmax_before_opening_out(monkeypatch, tmp_path, capsys, flag, value):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the Monte Carlo check ran before the refusal")
+
+    monkeypatch.setattr(cli, "verify_spec", no_run)
+    out = tmp_path / "report.json"
+    args = ["verify", "--r", "1", "--m", "2", "--n", "2", "--i", "1", "--j", "1", "--family", "uniform", "--reps", "1000"]
+    assert main(args + [flag, value, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert flag[2:] in capsys.readouterr().err
 
 
 def test_verify_refuses_negative_seed(capsys):

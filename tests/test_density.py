@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -83,6 +84,7 @@ def test_extension_without_shared_rank_is_continuous():
     assert d.atom_terms == ()
     assert d.atom(0.5) == 0.0
     assert nu_total_mass(d) == pytest.approx(1.0, abs=1e-6)
+    assert oracles.nu_mass_quadrature(d, 12) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_extension_matches_zero_offset_overlap():
@@ -125,6 +127,7 @@ def test_extreme_slide_symmetry():
 def test_total_mass_and_atom_mass(spec, model):
     d = overlap_density(spec, model)
     assert nu_total_mass(d, tol=1e-6) == pytest.approx(1.0, abs=1e-6)
+    assert oracles.nu_mass_quadrature(d, 12) == pytest.approx(1.0, abs=1e-12)
     table = probability_table(spec)
     atom_quad = quad(
         lambda u: d.atom(float(model.quantile(u))) * float(model.quantile_density(u)),
@@ -138,8 +141,20 @@ def test_total_mass_and_atom_mass(spec, model):
 
 def test_mass_quadrature_rejects_bad_tol():
     d = overlap_density(OverlapSpec(1, 2, 2, 1, 1), UNI)
-    with pytest.raises(ValueError):
-        nu_total_mass(d, tol=0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol"):
+            nu_total_mass(d, tol=tol)
+
+
+def test_mass_audit_refuses_a_parent_off_its_duality():
+    # a pdf 1% above its quantile density's reciprocal: f(Q(u)) q(u) = 1.01 at every level,
+    # where a quadrature of the assembled density reads a mass of about 1.0167
+    bad = dataclasses.replace(EXP, pdf=lambda x: 1.01 * EXP.pdf(x))
+    d = overlap_density(OverlapSpec(1, 2, 2, 1, 1), bad)
+    assert oracles.nu_mass_quadrature(d, 12) == pytest.approx(1.0167, abs=1e-4)
+    with pytest.raises(RuntimeError, match="duality"):
+        nu_total_mass(d)
+    assert nu_total_mass(d, tol=0.02) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_marginalisation_recovers_both_os_densities():
