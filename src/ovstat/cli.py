@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .curve import Curve
+from .curve import Curve, tabulate
 from .density import nu_total_mass, overlap_density
 from .mc import regression_comparison, verify_spec
 from .overlap import CELL_FIELDS, OverlapSpec, probability_table
@@ -218,16 +218,9 @@ def _cmd_density(args) -> int:
 def _cmd_regress(args) -> int:
     cfg = _merge(args, _SPEC_KEYS + _MODEL_KEYS)
     spec, model = _spec_from(cfg), _model_from(cfg)
-    if args.grid < 2:
-        raise ConfigError("grid must be >= 2")
-    fn = (
-        mean_original_given_extended
-        if args.direction == "orig-given-ext"
-        else mean_extended_given_original
-    )
-    u = np.arange(1, args.grid + 1) / (args.grid + 1)
-    x = np.asarray(model.quantile(u), dtype=float)
-    values = [fn(spec, model, float(xv)) for xv in x]
+    fn = mean_original_given_extended if args.direction == "orig-given-ext" else mean_extended_given_original
+    curve = tabulate(lambda xv: fn(spec, model, xv), model, size=args.grid)
+    u, x, values = curve.probs, curve.grid, curve.values
     if args.format == "json":
         payload = {
             "formula": "rank-mixture-regression",

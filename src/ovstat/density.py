@@ -9,9 +9,11 @@ planar density.  It does have a density with respect to the reference measure
 and that density is a finite mixture of ordinary pooled-sample os densities:
 off the diagonal a combination of bivariate os densities, on the diagonal a
 combination of marginal os densities, with the exact rational weights of
-:mod:`ovstat.overlap`.  :class:`NuDensity` bundles the two parts; the
-continuous part is taken to vanish on the diagonal so that the atom carries
-all diagonal mass.
+:mod:`ovstat.overlap`.  :class:`NuDensity` is that list of weighted terms,
+evaluated in levels (u, v) = (F(x), F(y)): one sum of the uniform-os kernels
+per half-plane (the k > ell terms with coordinates exchanged), times
+f(x) f(y).  The continuous part is taken to vanish on the diagonal so that
+the atom carries all diagonal mass.
 
 In quantile coordinates (u, v) = (F(x), F(y)) each mixture term is a
 uniform-os density, of mass 1 wherever f(Q(u)) q(u) = 1; so the nu-mass audit
@@ -27,8 +29,7 @@ rank-pair table's 2-D cumulative sum, one O(N^2) sum per rectangle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +65,7 @@ def marginal_os_density(model: ParentModel, j: int, n: int, x) -> float | np.nda
     """Density of the j-th order statistic of an n-sample at x."""
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
-    return _assemble(model, n, (), ((j, 1.0),)).atom(x)
+    return NuDensity(model, n, (), ((j, 1.0),)).atom(x)
 
 
 def joint_os_density(model: ParentModel, k: int, ell: int, n: int, x, y) -> float | np.ndarray:
@@ -75,83 +76,54 @@ def joint_os_density(model: ParentModel, k: int, ell: int, n: int, x, y) -> floa
     """
     if not 1 <= k < ell <= n:
         raise ValueError("need 1 <= k < ell <= n")
-    return _assemble(model, n, ((k, ell, 1.0),), ()).continuous(x, y)
+    return NuDensity(model, n, ((k, ell, 1.0),), ()).continuous(x, y)
 
 
 @dataclass(frozen=True)
 class NuDensity:
     """Density with respect to plane-plus-diagonal Lebesgue measure.
 
-    ``continuous(x, y)`` is the off-diagonal part (zero on the diagonal);
-    ``atom(x)`` is the density of the diagonal mass along the line x = y.
-    The mixture structure (pooled size and weighted index pairs) is kept for
-    exact bookkeeping.
+    The mixture of a pooled size N and weighted rank pairs: ``continuous_terms``
+    ``(k, ell, w)`` with k != ell off the diagonal, ``atom_terms`` ``(k, w)``
+    on it.  ``continuous(x, y)`` is the off-diagonal part (zero on the
+    diagonal); ``atom(x)`` is the density of the diagonal mass along x = y.
+    Scalars give a float.
     """
 
     model: ParentModel
     pooled_size: int
     continuous_terms: tuple[tuple[int, int, float], ...]
     atom_terms: tuple[tuple[int, float], ...]
-    continuous: Callable = field(repr=False)
-    atom: Callable = field(repr=False)
+
+    def continuous(self, x, y) -> float | np.ndarray:
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        u, v = np.asarray(self.model.cdf(x), dtype=float), np.asarray(self.model.cdf(y), dtype=float)
+        N, terms = self.pooled_size, self.continuous_terms
+        below = sum((w * _pair_kernel(N, k, ell, u, v) for k, ell, w in terms if k < ell), 0.0)
+        # k > ell lives on x > y: the same kernel, coordinates exchanged
+        above = sum((w * _pair_kernel(N, ell, k, v, u) for k, ell, w in terms if k > ell), 0.0)
+        pdfs = np.asarray(self.model.pdf(x), dtype=float) * np.asarray(self.model.pdf(y), dtype=float)
+        out = np.where(x < y, below * pdfs, np.where(x > y, above * pdfs, 0.0))
+        return float(out) if np.ndim(out) == 0 else out
+
+    def atom(self, x) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        u = np.asarray(self.model.cdf(x), dtype=float)
+        kernels = sum((w * _os_kernel(self.pooled_size, k, u) for k, w in self.atom_terms), 0.0)
+        out = kernels * np.asarray(self.model.pdf(x), dtype=float)
+        return float(out) if np.ndim(out) == 0 else out
 
     def atom_mass(self) -> float:
         """Total diagonal mass (each marginal os density integrates to 1)."""
         return float(sum(w for _, w in self.atom_terms))
 
 
-def _assemble(model: ParentModel, N: int, cont_terms, atom_terms) -> NuDensity:
-    def continuous(x, y):
-        xa = np.asarray(x, dtype=float)
-        ya = np.asarray(y, dtype=float)
-        u = np.asarray(model.cdf(xa), dtype=float)
-        v = np.asarray(model.cdf(ya), dtype=float)
-        px = np.asarray(model.pdf(xa), dtype=float)
-        py = np.asarray(model.pdf(ya), dtype=float)
-        out = np.zeros(np.broadcast(xa, ya).shape)
-        below = xa < ya
-        above = xa > ya
-        for k, ell, w in cont_terms:
-            if k < ell:
-                out = np.where(below, out + w * _pair_kernel(N, k, ell, u, v) * px * py, out)
-            else:  # k > ell lives on x > y: the same kernel, coordinates exchanged
-                out = np.where(above, out + w * _pair_kernel(N, ell, k, v, u) * px * py, out)
-        if np.ndim(x) == 0 and np.ndim(y) == 0:
-            return float(out)
-        return out
-
-    def atom(x):
-        xa = np.asarray(x, dtype=float)
-        u = np.asarray(model.cdf(xa), dtype=float)
-        px = np.asarray(model.pdf(xa), dtype=float)
-        out = np.zeros(np.shape(xa))
-        for k, w in atom_terms:
-            out = out + w * _os_kernel(N, k, u) * px
-        if np.ndim(x) == 0:
-            return float(out)
-        return out
-
-    return NuDensity(
-        model=model,
-        pooled_size=N,
-        continuous_terms=tuple(cont_terms),
-        atom_terms=tuple(atom_terms),
-        continuous=continuous,
-        atom=atom,
-    )
-
-
 def overlap_density(spec: OverlapSpec, model: ParentModel) -> NuDensity:
     """Joint nu-density of the two overlapping-sample order statistics."""
-    table = cached_table(spec)
-    cont = []
-    atoms = []
-    for (k, ell), p in table.nonzero().items():
-        if k == ell:
-            atoms.append((k, float(p)))
-        else:
-            cont.append((k, ell, float(p)))
-    return _assemble(model, spec.pooled_size, cont, atoms)
+    cells = cached_table(spec).nonzero().items()
+    cont = tuple((k, ell, float(p)) for (k, ell), p in cells if k != ell)
+    atoms = tuple((k, float(p)) for (k, ell), p in cells if k == ell)
+    return NuDensity(model, spec.pooled_size, cont, atoms)
 
 
 def nu_total_mass(d: NuDensity, tol: float = 1e-6) -> float:

@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
@@ -172,6 +173,18 @@ def _block_generator(seed: int, chunk: int, block: int, N: int) -> np.random.Gen
 Reducer = Callable[[slice, np.ndarray, np.ndarray, np.ndarray], object]
 
 
+def _count(count) -> int:
+    """``count`` as an int; a bool, a non-integer or a count below 1 is refused."""
+    if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError(f"count must be a positive integer, got {count!r}")
+    return int(count)
+
+
+def _check_zmax(zmax: float) -> None:
+    if not zmax > 0:
+        raise ValueError(f"zmax must be > 0, got {zmax!r}")
+
+
 def _reduce_blocks(
     spec: OverlapSpec, count: int, seed: int, reduce: Reducer, chunk_size: int = DEFAULT_CHUNK, workers: int | None = None
 ) -> list:
@@ -184,8 +197,7 @@ def _reduce_blocks(
     chunk.  The partials depend on the chunk partition only, so anything
     summed from them in this order is the same for any worker count.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count(count)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     if not 0 <= seed < 2**64:
@@ -260,8 +272,7 @@ def simulate_pairs(
     result is identical for any ``workers`` setting.  ``seed`` must lie in
     [0, 2^64) and ``chunk_size`` be at least 1.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count(count)
     x, y = np.empty(count), np.empty(count)
     rank_x, rank_y = np.empty(count, dtype=np.int16), np.empty(count, dtype=np.int16)
 
@@ -439,6 +450,8 @@ def verify_spec(
     model supplies only its name.  N above 1029 is refused with
     ``ValueError`` (see `rectangle_probability`) before the table is built.
     """
+    count = _count(count)
+    _check_zmax(zmax)
     levels = _RECTANGLE_LEVELS
     probs = rectangle_probability(spec, uniform(), levels[:, None], levels[None, :])
 
@@ -482,6 +495,8 @@ def verify_spec(
 def _binned_report(kind: str, spec, model, statistic, expected, count, seed, zmax, bins, trim, kwargs) -> MCReport:
     """Per-bin means of ``statistic(xu, yu)`` (`binned_conditional_mean`) against
     ``expected(edges)``, one value per level bin."""
+    count = _count(count)
+    _check_zmax(zmax)
     edges, _, means, ses = binned_conditional_mean(spec, count, seed, statistic, bins=bins, trim=trim, **kwargs)
     names = (f"bin[{b}] level=[{lo:.4f},{hi:.4f})" for b, (lo, hi) in enumerate(zip(edges, edges[1:])))
     rows = zip(names, expected(edges), means, ses)

@@ -187,20 +187,20 @@ class ProbabilityTable:
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {kl: p for kl, p in self.entries.items() if p != 0}
 
-    def rows(self, digits: int = 12):
+    def rows(self):
         """``(k, ell, num, den, decimal)`` for every cell of the N x N grid, k-major.
 
         The one cell formatter of both outputs: `to_csv_rows` lists these
         tuples, `to_json_dict` zips each with `CELL_FIELDS`, and `write_json`
         writes each as one entry, byte for byte as ``json.dumps(..., indent=2)``
         writes that dict.  ``decimal`` is ``"0"`` for a zero cell, else
-        ``float(p)`` to ``digits`` significant digits.
+        ``float(p)`` to 12 significant digits.
         """
         N = self.spec.pooled_size
         for k in range(1, N + 1):
             for ell in range(1, N + 1):
                 p = self[(k, ell)]
-                yield k, ell, p.numerator, p.denominator, _decimal(p, digits)
+                yield k, ell, p.numerator, p.denominator, "0" if p == 0 else f"{float(p):.12g}"
 
     def _json_ends(self) -> tuple[dict, dict]:
         """The JSON form's keys before and after ``entries``."""
@@ -208,12 +208,12 @@ class ProbabilityTable:
         head = {"spec": {"r": s.r, "m": s.m, "n": s.n, "i": s.i, "j": s.j}, "pooled_size": s.pooled_size}
         return head, {"total": {"num": total.numerator, "den": total.denominator}}
 
-    def to_json_dict(self, digits: int = 12) -> dict:
+    def to_json_dict(self) -> dict:
         head, tail = self._json_ends()
-        return {**head, "entries": [dict(zip(CELL_FIELDS, cell)) for cell in self.rows(digits)], **tail}
+        return {**head, "entries": [dict(zip(CELL_FIELDS, cell)) for cell in self.rows()], **tail}
 
-    def write_json(self, handle, digits: int = 12, **extra) -> None:
-        """Write ``json.dumps({**self.to_json_dict(digits), **extra}, indent=2)``
+    def write_json(self, handle, **extra) -> None:
+        """Write ``json.dumps({**self.to_json_dict(), **extra}, indent=2)``
         to ``handle``, byte for byte, with one ``handle.write`` per grid row.
 
         No entry dict is built: each entry is `_JSON_ENTRY` filled from `rows`,
@@ -227,30 +227,24 @@ class ProbabilityTable:
             raise ValueError(f"extra keys repeat table keys: {sorted(clash)}")
         # splice the entries between the head without its closing "\n}" and the tail without its opening "{\n"
         handle.write(json.dumps(head, indent=2)[:-2] + ',\n  "entries": [')
-        cells, N, sep = self.rows(digits), self.spec.pooled_size, ""
+        cells, N, sep = self.rows(), self.spec.pooled_size, ""
         for _ in range(N):
             handle.write(sep + ",".join(_JSON_ENTRY % cell for cell in itertools.islice(cells, N)))
             sep = ","
         handle.write("\n  ],\n" + json.dumps({**tail, **extra}, indent=2)[2:])
 
-    def to_json(self, digits: int = 12) -> str:
+    def to_json(self) -> str:
         buf = io.StringIO()
-        self.write_json(buf, digits)
+        self.write_json(buf)
         return buf.getvalue()
 
-    def to_csv_rows(self, digits: int = 12) -> list[tuple]:
-        return [CELL_FIELDS, *self.rows(digits)]
+    def to_csv_rows(self) -> list[tuple]:
+        return [CELL_FIELDS, *self.rows()]
 
 
 CELL_FIELDS = ("k", "ell", "num", "den", "decimal")
 _JSON_ENTRY = '\n    {\n      "k": %d,\n      "ell": %d,\n      "num": %d,\n      "den": %d,\n      "decimal": "%s"\n    }'
 _ZERO = Fraction(0)
-
-
-def _decimal(p: Fraction, digits: int) -> str:
-    if p == 0:
-        return "0"
-    return f"{float(p):.{digits}g}"
 
 
 def probability_table(spec: OverlapSpec) -> ProbabilityTable:

@@ -58,18 +58,12 @@ _NEWTON_STEPS = 16
 _TAIL_TOL = 1e-6
 
 
-def _maybe_scalar(x, out: np.ndarray):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def _vec(fn: Callable) -> Callable:
     """Wrap an elementwise formula so scalars come back as floats."""
 
     def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        return _maybe_scalar(x, fn(arr))
+        out = fn(np.asarray(x, dtype=float))
+        return float(out) if np.ndim(x) == 0 else out
 
     return wrapped
 
@@ -121,9 +115,9 @@ class ParentModel:
         )
 
     def shifted_scaled(self, location: float, scale: float) -> "ParentModel":
-        """The law of location + scale * X for scale > 0."""
-        if scale <= 0:
-            raise ValueError("scale must be > 0")
+        """The law of location + scale * X for a finite location and a finite scale > 0."""
+        if not (math.isfinite(location) and 0 < scale < math.inf):
+            raise ValueError(f"need a finite location and a finite scale > 0, got {location!r} and {scale!r}")
         a, b = self.support
         return ParentModel(
             name=f"{self.name} (loc={location:g}, scale={scale:g})",

@@ -47,7 +47,7 @@ import numpy as np
 from ._tanh_sinh import C as _C, W as _W, X as _X
 from .combinatorics import binom
 from .curve import Curve
-from .parent import _on_array
+from .parent import _on_array, _vec
 
 __all__ = [
     "ReconstructionError",
@@ -393,13 +393,7 @@ def midsample_quantile_density(j: int, n: int) -> Callable:
     e_right = 1.0 + (n - j) * (1.0 - lam)
     lin0 = float(j - 1)
     lin1 = float(n - 2 * j + 1)
-
-    def q(u):
-        ua = np.asarray(u, dtype=float)
-        out = (lin0 + lin1 * ua) * ua ** (-e_left) * (1.0 - ua) ** (-e_right)
-        return float(out) if np.ndim(u) == 0 else out
-
-    return q
+    return _vec(lambda u: (lin0 + lin1 * u) * u ** (-e_left) * (1.0 - u) ** (-e_right))
 
 
 def quantile_from_linear_regression(lam: float, a: float, c: float):
@@ -414,15 +408,8 @@ def quantile_from_linear_regression(lam: float, a: float, c: float):
     p = lam / a - 1.0
     s = (1.0 - lam) / a - 1.0
 
-    def quantile(y):
-        ya = np.asarray(y, dtype=float)
-        out = c * ya**p * (1.0 - ya) ** s * (lam - ya)
-        return float(out) if np.ndim(y) == 0 else out
-
     def quantile_density(y):
-        ya = np.asarray(y, dtype=float)
-        bracket = (lam - ya) ** 2 / a - (lam - 2.0 * lam * ya + ya**2)
-        out = c * ya ** (p - 1.0) * (1.0 - ya) ** (s - 1.0) * bracket
-        return float(out) if np.ndim(y) == 0 else out
+        bracket = (lam - y) ** 2 / a - (lam - 2.0 * lam * y + y**2)
+        return c * y ** (p - 1.0) * (1.0 - y) ** (s - 1.0) * bracket
 
-    return quantile, quantile_density
+    return _vec(lambda y: c * y**p * (1.0 - y) ** s * (lam - y)), _vec(quantile_density)

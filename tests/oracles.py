@@ -20,7 +20,9 @@ regression oracle is the per-term rank mixture, which builds every term's
 beta kernel and converts every table cell at each point, that the cached
 per-geometry kernels of ``ovstat.regression`` replace.  The nu-mass oracle is
 the 2-D Gauss-Legendre quadrature of the assembled density that the
-library's duality audit and weight total replace.
+library's duality audit and weight total replace.  The per-term density
+oracles evaluate a ``NuDensity`` one weighted term at a time, masking each by
+its half-plane, which its one kernel sum per half-plane replaces.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from scipy.optimize import brentq
 from ovstat._tanh_sinh import X as TANH_SINH_NODES
 from ovstat.combinatorics import CountParams, binom
 from ovstat.curve import Curve
-from ovstat.density import NuDensity, _assemble, rectangle_probability as _rectangle_law
+from ovstat.density import NuDensity, _os_kernel, _pair_kernel, rectangle_probability as _rectangle_law
 from ovstat.mc import _RECTANGLE_LEVELS, Comparison, MCReport, PairSample, _chunk_ranges, _level_edges
 from ovstat.overlap import OverlapSpec, ProbabilityTable, cached_table, marginal_rank_probability
 from ovstat.parent import U_MIN, ParentModel, uniform
@@ -164,7 +166,7 @@ def probability_table_bruteforce(spec: OverlapSpec) -> ProbabilityTable:
     return ProbabilityTable(spec=spec, entries=entries)
 
 
-def probability_table_csv_rows(table: ProbabilityTable, digits: int = 12) -> list[tuple]:
+def probability_table_csv_rows(table: ProbabilityTable) -> list[tuple]:
     """The table's CSV rows as a list of per-cell tuples over the N x N grid,
     the form `ProbabilityTable.to_csv_rows` had before its row generator."""
     N = table.spec.pooled_size
@@ -172,7 +174,7 @@ def probability_table_csv_rows(table: ProbabilityTable, digits: int = 12) -> lis
     for k in range(1, N + 1):
         for ell in range(1, N + 1):
             p = table.entries.get((k, ell), Fraction(0))
-            decimal = "0" if p == 0 else f"{float(p):.{digits}g}"
+            decimal = "0" if p == 0 else f"{float(p):.12g}"
             rows.append((k, ell, p.numerator, p.denominator, decimal))
     return rows
 
@@ -229,7 +231,33 @@ def extension_density(i: int, m: int, j: int, n: int, model: ParentModel) -> NuD
             atoms.append((k, w))
         else:
             cont.append((k, j, w))
-    return _assemble(model, n, cont, atoms)
+    return NuDensity(model, n, tuple(cont), tuple(atoms))
+
+
+def per_term_continuous(d: NuDensity, x, y) -> float | np.ndarray:
+    """``d.continuous`` one term at a time: each weighted kernel times f(x) f(y),
+    added where its half-plane holds, the form before the per-half-plane sums."""
+    model, N = d.model, d.pooled_size
+    xa, ya = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    u, v = np.asarray(model.cdf(xa), dtype=float), np.asarray(model.cdf(ya), dtype=float)
+    px, py = np.asarray(model.pdf(xa), dtype=float), np.asarray(model.pdf(ya), dtype=float)
+    out = np.zeros(np.broadcast(xa, ya).shape)
+    for k, ell, w in d.continuous_terms:
+        if k < ell:
+            out = np.where(xa < ya, out + w * _pair_kernel(N, k, ell, u, v) * px * py, out)
+        else:
+            out = np.where(xa > ya, out + w * _pair_kernel(N, ell, k, v, u) * px * py, out)
+    return float(out) if np.ndim(x) == 0 and np.ndim(y) == 0 else out
+
+
+def per_term_atom(d: NuDensity, x) -> float | np.ndarray:
+    """``d.atom`` one term at a time, each weighted kernel times f(x)."""
+    xa = np.asarray(x, dtype=float)
+    u, px = np.asarray(d.model.cdf(xa), dtype=float), np.asarray(d.model.pdf(xa), dtype=float)
+    out = np.zeros(np.shape(xa))
+    for k, w in d.atom_terms:
+        out = out + w * _os_kernel(d.pooled_size, k, u) * px
+    return float(out) if np.ndim(x) == 0 else out
 
 
 def nu_mass_quadrature(d: NuDensity, order: int) -> float:

@@ -113,6 +113,26 @@ def test_extreme_slide_symmetry():
             assert d.continuous(a, b) == pytest.approx(d.continuous(b, a))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [UNI, EXP, parent.logistic(), parent.complementary_beta(0.5, 1.5)],
+    ids=lambda m: m.name,
+)
+def test_half_plane_sums_match_the_per_term_density(model):
+    # both half-planes and the diagonal on a 9 x 9 grid; scalars take turns below, above and on it
+    x = np.asarray(model.quantile(np.linspace(0.05, 0.95, 9)), dtype=float)
+    points = [(x[2], x[6]), (x[6], x[2]), (x[4], x[4])]
+    for index, spec in enumerate(SMALL_SPECS):
+        d = overlap_density(spec, model)
+        np.testing.assert_allclose(
+            d.continuous(x[:, None], x[None, :]), oracles.per_term_continuous(d, x[:, None], x[None, :]), rtol=2e-15, atol=0
+        )
+        np.testing.assert_allclose(d.atom(x), oracles.per_term_atom(d, x), rtol=2e-15, atol=0)
+        a, b = points[index % 3]
+        for got, want in ((d.continuous(a, b), oracles.per_term_continuous(d, a, b)), (d.atom(a), oracles.per_term_atom(d, a))):
+            assert type(got) is float and abs(got - want) <= 2e-15 * abs(want), (spec, a, b)
+
+
 @pytest.mark.parametrize("model", [UNI, EXP])
 @pytest.mark.parametrize(
     "spec",

@@ -14,6 +14,7 @@ import oracles
 from ovstat import mc, parent
 from ovstat.density import overlap_density
 from ovstat.mc import (
+    MCReport,
     binned_conditional_mean,
     empirical_tie_table,
     identity_regression_comparison,
@@ -121,6 +122,39 @@ def test_identity_regression_self():
 def test_count_validation():
     with pytest.raises(ValueError):
         simulate_pairs(OverlapSpec(1, 2, 2, 1, 1), UNI, 0, seed=1)
+
+
+CHECKS = [verify_spec, regression_comparison, identity_regression_comparison]
+
+
+@pytest.mark.parametrize("check", [simulate_pairs, empirical_tie_table, *CHECKS], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count", [2000.5, 2000.0, True, 0, -3, "2000"], ids=repr)
+def test_count_must_be_a_positive_integer(check, count):
+    # 2000.5 raised TypeError from inside numpy or range, and True ran one draw
+    with pytest.raises(ValueError, match="count must be"):
+        check(OverlapSpec(1, 2, 2, 1, 1), UNI, count, seed=1)
+
+
+@pytest.mark.parametrize("check", [simulate_pairs, empirical_tie_table, *CHECKS], ids=lambda f: f.__name__)
+def test_count_may_be_a_numpy_integer(check):
+    # np.int64(2000) raised OverflowError from the block generator's advance; a report
+    # must still go through json.dumps, which refuses a numpy sample_count
+    kwargs = {"bins": 10} if check in CHECKS[1:] else {}
+    got, want = (check(OverlapSpec(1, 2, 2, 1, 1), UNI, count, seed=1, **kwargs) for count in (np.int64(2000), 2000))
+    key = {simulate_pairs: lambda sample: sample.x.tolist(), empirical_tie_table: dict}.get(check, MCReport.to_json)
+    assert key(got) == key(want)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("zmax", [math.nan, -1.0, 0.0])
+def test_zmax_refused_before_any_draw(check, zmax, monkeypatch):
+    # such a zmax ran the whole Monte Carlo check and then always reported a failure
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(mc, "_reduce_blocks", no_draws)
+    with pytest.raises(ValueError, match="zmax"):
+        check(OverlapSpec(1, 2, 2, 1, 1), UNI, count=2000, seed=1, zmax=zmax)
 
 
 @pytest.mark.parametrize(

@@ -243,12 +243,11 @@ def test_json_writer_and_csv_rows_equal_their_references():
     extras = ({}, {"formula": "exact-rank-match-table", "version": "0.1.0"})
     for spec in [*SMALL_SPECS, OverlapSpec(40, 100, 90, 50, 45)]:
         table = probability_table(spec)
-        for digits in (3, 12, 17):
-            assert table.to_csv_rows(digits) == probability_table_csv_rows(table, digits), (spec, digits)
-            payload = table.to_json_dict(digits)
-            for extra in extras:
-                buf = io.StringIO()
-                table.write_json(buf, digits, **extra)
-                assert buf.getvalue() == json.dumps({**payload, **extra}, indent=2), (spec, digits, extra)
+        assert table.to_csv_rows() == probability_table_csv_rows(table), spec
+        payload = table.to_json_dict()
+        for extra in extras:
+            buf = io.StringIO()
+            table.write_json(buf, **extra)
+            assert buf.getvalue() == json.dumps({**payload, **extra}, indent=2), (spec, extra)
     with pytest.raises(ValueError, match="total"):
         table.write_json(io.StringIO(), total=1)

@@ -216,6 +216,13 @@ def test_negate_and_affine():
     assert sc.quantile_density(0.3) == pytest.approx(3.0)
 
 
+@pytest.mark.parametrize("location, scale", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, 0.0), (0.0, -1.0)])
+def test_shifted_scaled_refuses_a_location_or_scale_off_the_reals(location, scale):
+    # a nan scale built a model whose quantile was nan at every level
+    with pytest.raises(ValueError, match="location|scale"):
+        parent.exponential().shifted_scaled(location, scale)
+
+
 def test_negate_quantile_deep_in_left_tail():
     # below 2^-53 the mirrored level 1 - u rounds to 1; the quantile stays at
     # its value at 2^-53 instead of returning -inf
