@@ -31,10 +31,13 @@ which has probability below N^2 / 2^54).  No report stores the sample.
 The regression checks bin the pairs by the level F(Y) of the conditioner
 Y, the j-th os of n draws, so F(Y) ~ Beta(j, n - j + 1): the bin edges are
 the Beta law's quantiles at equal probability steps across the trim range,
-fixed before any draw.  A bin's expected value is the bin average of the
-curve, integrated over the bin's levels, so it has no curvature bias.  On a
-2-vCPU host, 10^7 draws of the regression check take about 0.7 s on
-two workers, and a check's memory is a few block-sized arrays per worker.
+fixed before any draw.  A level finds its bin in a table of 2^12 equal
+cells of [0, 1], built once per check, and a step up past the edges inside
+its cell: exactly `searchsorted`'s bin, at about a tenth of its cost.  A
+bin's expected value is the bin average of the curve, integrated over the
+bin's levels, so it has no curvature bias.  On a 2-vCPU host, 10^7 draws of
+the regression check take 0.25-0.4 s on two workers and 0.4-0.47 s on one,
+and a check's memory is a few block-sized arrays per worker.
 """
 
 from __future__ import annotations
@@ -74,6 +77,8 @@ _BLOCK_ROWS = 1 << 15
 _MAX_NETWORK_OPS = 160
 # levels of the rectangle grid whose corners verify_spec checks
 _RECTANGLE_LEVELS = np.arange(1, 6) / 6
+# cells of [0, 1] in the table that bins a level of the regression checks
+_LOOKUP_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -316,6 +321,28 @@ def _level_edges(spec: OverlapSpec, probabilities: np.ndarray) -> np.ndarray:
     return np.select([probabilities <= 0.0, probabilities >= 1.0], [0.0, 1.0], hi)
 
 
+def _level_slots(edges: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """``levels -> np.searchsorted(edges, levels, side="right")`` for levels in [0, 1], by table lookup.
+
+    Cell g of the table holds the levels [g, g + 1) / 2^12, and the table the
+    slot of its lowest level; a level's cell is exact, since times 2^12 is.
+    The slot then steps up while the next edge is <= the level, as many
+    times as the most edges inside one cell, so any sorted edges, repeated
+    ones included, give ``searchsorted``'s slots.
+    """
+    table = np.searchsorted(edges, np.arange(_LOOKUP_CELLS + 1) / _LOOKUP_CELLS, side="right")
+    steps = int(np.diff(table).max())
+    padded = np.append(edges, np.inf)
+
+    def slots(levels: np.ndarray) -> np.ndarray:
+        slot = table[(levels * _LOOKUP_CELLS).astype(np.intp)]
+        for _ in range(steps):
+            slot += padded[slot] <= levels
+        return slot
+
+    return slots
+
+
 def binned_conditional_mean(
     spec: OverlapSpec,
     count: int,
@@ -329,19 +356,26 @@ def binned_conditional_mean(
 
     The bins hold equal probability between the population quantiles
     ``trim`` of the second os Y: bin b is the levels [edges[b], edges[b+1])
-    of F(Y).  Each block is reduced to its per-bin count and sums of the
-    statistic and its square; returns (edges, counts, means, standard errors).
+    of F(Y).  Each block's levels find their bins by table lookup
+    (`_level_slots`), and the block is reduced to its per-bin count and sums
+    of the statistic and its square; returns (edges, counts, means, standard
+    errors).  ``bins`` must be an integer from 10 to ``count``, or it is
+    refused before any draw.
     """
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
+    count = _count(count)
+    if isinstance(bins, bool) or not isinstance(bins, numbers.Integral) or bins < 10:
+        raise ValueError(f"need an integer number of at least 10 bins, got bins={bins!r}")
+    if bins > count:
+        raise ValueError(f"{bins} bins for {count} draws leave an empty bin")
     lo, hi = trim
     if not 0.0 <= lo < hi <= 1.0:
         raise ValueError("trim must be an increasing pair inside [0, 1]")
     edges = _level_edges(spec, np.linspace(lo, hi, bins + 1))
+    level_slots = _level_slots(edges)
 
     def sums(rows: slice, xu: np.ndarray, yu: np.ndarray, columns: np.ndarray) -> np.ndarray:
         # slot 0 takes the levels below the trim range, slot bins + 1 those above it
-        slot = np.searchsorted(edges, yu, side="right")
+        slot = level_slots(yu)
         value = statistic(xu, yu)
         return np.stack([np.bincount(slot, weights, minlength=bins + 2) for weights in (None, value, value * value)])
 

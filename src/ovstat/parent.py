@@ -68,6 +68,11 @@ def _vec(fn: Callable) -> Callable:
     return wrapped
 
 
+def _check_location_scale(location: float, scale: float) -> None:
+    if not (math.isfinite(location) and 0 < scale < math.inf):
+        raise ValueError(f"need a finite location and a finite scale > 0, got {location!r} and {scale!r}")
+
+
 @dataclass(frozen=True)
 class ParentModel:
     """A parent distribution on an open interval support.
@@ -116,8 +121,7 @@ class ParentModel:
 
     def shifted_scaled(self, location: float, scale: float) -> "ParentModel":
         """The law of location + scale * X for a finite location and a finite scale > 0."""
-        if not (math.isfinite(location) and 0 < scale < math.inf):
-            raise ValueError(f"need a finite location and a finite scale > 0, got {location!r} and {scale!r}")
+        _check_location_scale(location, scale)
         a, b = self.support
         return ParentModel(
             name=f"{self.name} (loc={location:g}, scale={scale:g})",
@@ -373,8 +377,7 @@ def from_quantile_density(
     cb(0.95, 0.95) is off by 3.7e-10 on the left and by 1.9e-7 on the right,
     where the table's last value already carries that error.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
+    _check_location_scale(location, scale)
     table = _QuantileTable(q, location, scale)
 
     # rows: left and right end; columns: the end node and one decade in.  d is

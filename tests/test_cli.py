@@ -344,6 +344,13 @@ def test_verify_refuses_negative_seed(capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_cb_location_off_the_reals(capsys):
+    # the check is parent-free, so a nan location reported "passed" and exited 0
+    args = ["verify", "--r", "1", "--m", "3", "--n", "3", "--i", "2", "--j", "2", "--family", "cb", "--params", "alpha=0.5,beta=1.5"]
+    assert main(args + ["--location", "nan", "--reps", "20000"]) == 2
+    assert "location" in capsys.readouterr().err
+
+
 def test_verify_refuses_n_above_1029(monkeypatch, capsys):
     def no_table(spec):
         raise AssertionError("the table was built before the refusal")

@@ -157,6 +157,29 @@ def test_zmax_refused_before_any_draw(check, zmax, monkeypatch):
         check(OverlapSpec(1, 2, 2, 1, 1), UNI, count=2000, seed=1, zmax=zmax)
 
 
+BINNED_CHECKS = [binned_conditional_mean, regression_comparison, identity_regression_comparison]
+
+
+@pytest.mark.parametrize("check", BINNED_CHECKS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count, bins", [(2000, 50.0), (2000, np.float64(12.0)), (2000, "12"), (2000, True), (2000, 9), (20, 21)], ids=str)
+def test_bins_refused_before_any_draw(check, count, bins, monkeypatch):
+    # bins=50.0 raised TypeError, and more bins than draws ran the whole check
+    # before it failed on an empty bin
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew a sample or built the bin edges")
+
+    monkeypatch.setattr(mc, "_reduce_blocks", no_draws)
+    monkeypatch.setattr(mc, "_level_edges", no_draws)
+    given = {"statistic": _difference} if check is binned_conditional_mean else {"model": UNI}
+    with pytest.raises(ValueError, match="bins"):
+        check(OverlapSpec(1, 2, 2, 1, 1), count=count, seed=1, bins=bins, **given)
+
+
+def test_bins_may_be_a_numpy_integer():
+    got, want = (regression_comparison(OverlapSpec(1, 2, 2, 1, 1), UNI, 2000, seed=1, bins=bins) for bins in (np.int64(10), 10))
+    assert got.to_json() == want.to_json()
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -294,24 +317,55 @@ def test_level_edges_invert_the_beta_law():
         assert np.allclose(edges[1:-1], want, rtol=1e-13, atol=1e-15), spec
 
 
+LOOKUP_CASES = [
+    (OverlapSpec(1, 3, 3, 2, 2), 50, (0.05, 0.95)),
+    (OverlapSpec(1, 3, 3, 2, 2), 50, (0.0, 1.0)),  # edges 0 and 1
+    (OverlapSpec(0, 1, 60, 1, 1), 200, (0.0, 1.0)),  # several edges per table cell
+]
+
+
+@pytest.mark.parametrize("spec, bins, trim", LOOKUP_CASES, ids=str)
+def test_level_lookup_equals_searchsorted(spec, bins, trim):
+    edges = mc._level_edges(spec, np.linspace(*trim, bins + 1))
+    rng = np.random.default_rng(bins)
+    drawn = [rng.random(10**5), rng.beta(spec.j, spec.n - spec.j + 1, 10**5)]
+    neighbours = [edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), [0.0, 1.0 - 2.0**-53, 1.0]]
+    levels = np.concatenate(drawn + neighbours)
+    levels = levels[(levels >= 0.0) & (levels <= 1.0)]
+    got = mc._level_slots(edges)(levels)
+    assert np.array_equal(got, np.searchsorted(edges, levels, side="right"))
+    if bins == 200:
+        cells = np.floor(edges * mc._LOOKUP_CELLS).astype(int)
+        assert np.bincount(cells).max() >= 3
+
+
 def test_binned_means_empty_bin_still_refused():
     spec = OverlapSpec(1, 3, 3, 2, 2)
     with pytest.raises(ValueError, match="empty bin"):
         binned_conditional_mean(spec, 5, 0, _difference, bins=10, trim=(0.0, 1.0))
 
 
+def test_binned_means_empty_bin_refused_after_the_draw():
+    # as many bins as draws: the draw decides whether a bin stays empty
+    with pytest.raises(ValueError, match="empty bin; reduce"):
+        binned_conditional_mean(OverlapSpec(1, 3, 3, 2, 2), 10, 0, _difference, bins=10, trim=(0.0, 1.0))
+
+
+BIN_SETTINGS = [(50, (0.05, 0.95)), (12, (0.2, 0.8)), (10, (0.0, 1.0))]
 BINNING_CASES = [
-    (OverlapSpec(1, 3, 3, 2, 2), "exponential", 300_000, 10**6, 1),
-    (OverlapSpec(2, 4, 5, 3, 1), "cb", 3 * mc._BLOCK_ROWS + 7, 40_000, 2),
-    (OverlapSpec(0, 1, 2, 1, 1), "uniform", 90_001, 30_000, 3),
+    (OverlapSpec(1, 3, 3, 2, 2), "exponential", 300_000, 10**6, 1, BIN_SETTINGS),
+    (OverlapSpec(2, 4, 5, 3, 1), "cb", 3 * mc._BLOCK_ROWS + 7, 40_000, 2, BIN_SETTINGS),
+    (OverlapSpec(0, 1, 2, 1, 1), "uniform", 90_001, 30_000, 3, BIN_SETTINGS),
+    # Beta(1, 60) levels: up to 3 edges share one cell of the level lookup table
+    (OverlapSpec(0, 1, 60, 1, 1), "exponential", 3 * mc._BLOCK_ROWS + 7, 10**6, 2, [(200, (0.0, 1.0))]),
 ]
 
 
 def test_binned_means_match_oracle_on_mc_sample():
-    for spec, name, count, chunk_size, workers in BINNING_CASES:
+    for spec, name, count, chunk_size, workers, settings in BINNING_CASES:
         model = PARENTS[name]
         statistics = {False: lambda xu, yu: mc._values(model, xu), True: lambda xu, yu: mc._values(model, xu) - mc._values(model, yu)}
-        for bins, trim in [(50, (0.05, 0.95)), (12, (0.2, 0.8)), (10, (0.0, 1.0))]:
+        for bins, trim in settings:
             for difference, statistic in statistics.items():
                 case = (spec, name, bins, trim, difference)
                 got = binned_conditional_mean(spec, count, 8, statistic, bins=bins, trim=trim, chunk_size=chunk_size, workers=workers)

@@ -223,6 +223,16 @@ def test_shifted_scaled_refuses_a_location_or_scale_off_the_reals(location, scal
         parent.exponential().shifted_scaled(location, scale)
 
 
+@pytest.mark.parametrize("location, scale", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, 0.0), (0.0, -1.0)])
+def test_quantile_density_family_refuses_a_location_or_scale_off_the_reals(location, scale):
+    # a nan location built a cb model whose quantile and cdf were nan, and an
+    # infinite one a model with support (inf, inf)
+    with pytest.raises(ValueError, match="location|scale"):
+        parent.complementary_beta(0.5, 1.5, location=location, scale=scale)
+    with pytest.raises(ValueError, match="location|scale"):
+        parent.from_quantile_density(lambda u: np.ones_like(u), location=location, scale=scale)
+
+
 def test_negate_quantile_deep_in_left_tail():
     # below 2^-53 the mirrored level 1 - u rounds to 1; the quantile stays at
     # its value at 2^-53 instead of returning -inf
