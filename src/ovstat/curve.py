@@ -7,7 +7,7 @@ from typing import Callable
 
 import numpy as np
 
-from .parent import ParentModel
+from .parent import ParentModel, _on_array
 
 __all__ = ["Curve", "tabulate"]
 
@@ -63,12 +63,15 @@ def tabulate(
 ) -> Curve:
     """Evaluate ``producer`` on the quantile-spaced grid u = 1/(G+1) .. G/(G+1).
 
-    The grid lives strictly inside the open support, so endpoint divisions in
-    the producers never trigger.
+    The producer is called once on the grid array, so a regression costs one
+    call per curve.  By :func:`ovstat.parent._on_array`'s rule, one that takes
+    only scalars (it raises ``TypeError`` or ``ValueError`` on the array) is
+    called per point, and a scalar returned for the array holds at every point.
+    The grid lies inside the open support, so no endpoint division triggers.
     """
     if size < 2:
         raise ValueError("grid size must be >= 2")
     u = np.arange(1, size + 1) / (size + 1)
     x = np.asarray(model.quantile(u), dtype=float)
-    values = np.array([producer(float(xi)) for xi in x])
+    values = _on_array(producer, x)
     return Curve(grid=x, values=values, meaning=meaning, probs=u)

@@ -555,16 +555,16 @@ def regression_comparison(
     its population quantiles ``trim`` (`binned_conditional_mean`).  A bin's
     analytic value is E[m(Y) | F(Y) in [lo, hi)] = bins / (trim[1] - trim[0])
     times the integral of m(Q(v)) beta(v) over [lo, hi), beta the density of
-    F(Y), by 5-node Gauss-Legendre on each bin; so it carries no curvature
-    (Jensen) bias at any draw count.
+    F(Y), by 5-node Gauss-Legendre on each bin, one regression call per node to
+    keep its temporaries small; so it has no curvature (Jensen) bias at any count.
     """
 
     def bin_averages(edges: np.ndarray) -> np.ndarray:
         z, w = _gl_nodes(5)
         width = np.diff(edges)[:, None]
         v = edges[:-1, None] + width * z
-        curve = np.array([mean_original_given_extended(spec, model, float(q)) for q in model.quantile(v.ravel())])
-        return (width * w * _os_kernel(spec.n, spec.j, v) * curve.reshape(v.shape)).sum(axis=1) * bins / (trim[1] - trim[0])
+        curve = np.column_stack([mean_original_given_extended(spec, model, q) for q in model.quantile(v).T])
+        return (width * w * _os_kernel(spec.n, spec.j, v) * curve).sum(axis=1) * bins / (trim[1] - trim[0])
 
     first = lambda xu, yu: _values(model, xu)  # noqa: E731
     return _binned_report("binned regression", spec, model, first, bin_averages, count, seed, zmax, bins, trim, sim_kwargs)

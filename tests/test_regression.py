@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -10,6 +11,7 @@ from ovstat import parent, regression
 from ovstat.combinatorics import binom
 from ovstat.curve import Curve, tabulate
 from ovstat.overlap import OverlapSpec, probability_table
+from ovstat.reconstruct import midsample_quantile_density
 from ovstat.regression import (
     conditional_os_mean,
     mean_adjacent,
@@ -396,3 +398,118 @@ def test_mixture_kernels_are_built_once_per_geometry():
     for array in cached:
         with pytest.raises(ValueError):
             array[...] = 0.0
+
+
+# every public regression, as a function of its model and conditioning value
+PUBLIC_REGRESSIONS = {
+    "mean_original_given_extended": lambda md, y: mean_original_given_extended(OverlapSpec(1, 3, 3, 2, 2), md, y),
+    "mean_extended_given_original": lambda md, y: mean_extended_given_original(OverlapSpec(1, 3, 3, 2, 2), md, y),
+    "conditional_os_mean": lambda md, y: conditional_os_mean(md, 1, 2, 3, y),
+    "conditional_os_mean k == ell": lambda md, y: conditional_os_mean(md, 2, 2, 3, y),
+    "pair_regression_r1": lambda md, y: pair_regression_r1("max_given_max", md, y),
+    "mean_given_single": lambda md, y: mean_given_single(md, 2, 3, y),
+    "mean_min_extended": lambda md, y: mean_min_extended(md, 3, 1, y),
+    "mean_max_extended": lambda md, y: mean_max_extended(md, 3, 1, y),
+    "mean_adjacent": lambda md, y: mean_adjacent(md, 2, 3, y),
+}
+OFF_SUPPORT = [(UNI, 2.0), (UNI, -0.5), (EXP, -1.0), (EXP, math.nan), (EXP, math.inf), (LOG, -math.inf), (LOG, math.nan)]
+
+
+@pytest.mark.parametrize("name", list(PUBLIC_REGRESSIONS))
+def test_conditioning_value_off_the_support_refused(name):
+    # before the check the uniform at 2.0 gave 1.111 and at -0.5 gave 0.056,
+    # the exponential at -1 gave 0.0 (mean_given_single: 0.5), nan gave nan
+    # and inf gave inf
+    fn = PUBLIC_REGRESSIONS[name]
+    for model, y in OFF_SUPPORT:
+        with pytest.raises(ValueError, match="conditioning value"):
+            fn(model, y)
+        # one bad value refuses the whole array
+        with pytest.raises(ValueError, match="conditioning value"):
+            fn(model, np.array([float(model.quantile(0.5)), y, float(model.quantile(0.25))]))
+
+
+def test_finite_support_endpoint_is_inside():
+    # the one-sided formulas at a finite endpoint are kept
+    assert mean_original_given_extended(OverlapSpec(1, 3, 3, 2, 2), UNI, 0.0) == pytest.approx(2.0 / 9.0)
+    assert mean_given_single(UNI, 2, 3, 1.0) == pytest.approx(2.0 / 3.0)
+    assert mean_adjacent(EXP, 1, 3, 0.0) == 0.0
+    assert conditional_os_mean(UNI, 2, 2, 3, 1.0) == 1.0
+    # and so are the branch refusals that divide by F(y) or 1 - F(y)
+    with pytest.raises(ValueError, match="lower support endpoint"):
+        pair_regression_r1("max_given_max", EXP, 0.0)
+    with pytest.raises(ValueError, match="upper support endpoint"):
+        pair_regression_r1("min_given_min", UNI, np.array([0.5, 1.0]))
+    with pytest.raises(ValueError, match="lower support endpoint"):
+        mean_adjacent(UNI, 2, 3, np.array([0.0, 0.5]))
+
+
+def closed_form_regressions(model):
+    """Each closed-form public regression of ``model``, keyed by a label."""
+    forms = {f"pair {which}": functools.partial(pair_regression_r1, which, model) for which in regression.PAIR_REGRESSIONS_R1}
+    forms |= {f"single {j} of {n}": functools.partial(mean_given_single, model, j, n) for n in (2, 3, 5) for j in range(1, n + 1)}
+    forms |= {f"adjacent {i} of {m}": functools.partial(mean_adjacent, model, i, m) for m in (1, 3) for i in range(1, m + 1)}
+    forms |= {f"os {k} given {ell} of 4": functools.partial(conditional_os_mean, model, k, ell, 4) for k in (1, 3, 4) for ell in (1, 3)}
+    forms["min of 5 given 2"] = functools.partial(mean_min_extended, model, 5, 2)
+    forms["max of 5 given 2"] = functools.partial(mean_max_extended, model, 5, 2)
+    return forms
+
+
+@pytest.mark.parametrize("model", MIXTURE_PARENTS, ids=lambda model: model.name)
+def test_array_equals_the_per_point_calls(model):
+    ys = np.asarray(model.quantile(np.linspace(0.01, 0.99, 99)), dtype=float)
+    curves = {}
+    for spec in MIXTURE_SPECS:
+        curves[f"{spec} first"] = functools.partial(mean_original_given_extended, spec, model)
+        curves[f"{spec} second"] = functools.partial(mean_extended_given_original, spec, model)
+    curves |= closed_form_regressions(model)
+    worst = 0.0
+    for label, fn in curves.items():
+        got = fn(ys)
+        assert isinstance(got, np.ndarray) and got.shape == ys.shape, label
+        want = np.array([fn(float(y)) for y in ys])
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+    assert worst <= 1e-15, worst
+
+
+def test_scalar_gives_a_float_and_an_array_keeps_its_shape():
+    grid = np.asarray(EXP.quantile(np.linspace(0.05, 0.95, 12)), dtype=float).reshape(3, 4)
+    for name, fn in PUBLIC_REGRESSIONS.items():
+        fn = functools.partial(fn, EXP)
+        value = fn(0.7)
+        assert type(value) is float, name
+        for same in (np.float64(0.7), np.array(0.7)):
+            assert type(fn(same)) is float and fn(same) == value, name
+        values = fn(grid)
+        assert values.shape == (3, 4), name
+        assert np.array_equal(values.ravel(), fn(grid.ravel())), name
+
+
+def test_tabulate_calls_an_array_producer_once():
+    calls = []
+
+    def producer(x):
+        calls.append(np.shape(x))
+        return mean_original_given_extended(OverlapSpec(2, 4, 5, 2, 3), EXP, x)
+
+    curve = tabulate(producer, EXP, size=41)
+    assert calls == [(41,)]
+    assert np.array_equal(curve.values, mean_original_given_extended(OverlapSpec(2, 4, 5, 2, 3), EXP, curve.grid))
+
+
+def test_tabulate_calls_a_scalar_producer_per_point():
+    curve = tabulate(lambda x: math.exp(-x), EXP, size=99)
+    u = np.arange(1, 100) / 100
+    assert np.array_equal(curve.values, np.array([math.exp(-float(x)) for x in np.asarray(EXP.quantile(u), dtype=float)]))
+
+
+def test_midsample_identity_curve_warns_once():
+    # a midsample parent has an infinite mean, so each regression call warns;
+    # the 99-point curve is one call
+    model = parent.from_quantile_density(midsample_quantile_density(3, 5), name="midsample(3,5)")
+    spec = OverlapSpec(0, 3, 5, 2, 3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        curve = tabulate(lambda y: mean_original_given_extended(spec, model, y), model, size=99)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert np.max(np.abs(curve.values - curve.grid) / np.maximum(np.abs(curve.grid), 1.0)) <= 1e-10
