@@ -8,8 +8,8 @@ first ``k`` positions and exactly ``j`` first-block items among the first
 ``k + ell`` positions.  These counts are the integer cores of the exact tie
 probabilities in :mod:`ovstat.overlap`.
 
-Its inner sum is a dot product of rows of one Pascal triangle built by
-addition (`block_hit_sum`), in `count_matching` and in every table cell.
+Its inner sum is one dot product of a Pascal-triangle row with weights read
+from the same triangle (`block_hit_sum`), in `count_matching` and every table cell.
 
 Everything in this module is exact integer arithmetic; no floats.
 """
@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add, mul
-from typing import Callable
 
 __all__ = [
     "CountParams",
@@ -90,16 +89,16 @@ def pascal_rows(n: int) -> list[list[int]]:
     return rows
 
 
-def block_hit_sum(rows: list[list[int]], s: int, t: int, k: int, i: int, gap: int) -> Callable[[int], int]:
-    """j -> sum_m C(j, m) C(s, k-i-m) C(s+t+m-k, ell+m-j) for ell = j + gap; s, t, i >= 0.
+def block_hit_sum(rows: list[list[int]], s: int, t: int, k: int, i: int, gap: int) -> tuple[int, list[int]]:
+    """``(lo, w)`` with sum_m C(j, m) C(s, k-i-m) C(s+t+m-k, ell+m-j) =
+    ``sum(map(mul, rows[j][lo:], w))`` for every j and ell = j + gap; s, t, i >= 0.
 
     The third binomial is C(s+t-k+m, d) with d = s+t-k-gap, so the weights of
     C(j, m) are free of j; ``rows`` (`pascal_rows`) must reach row s+t-i.
     """
     d = s + t - k - gap
     lo = max(0, -gap, k - i - s)
-    w = [rows[s][k - i - m] * rows[s + t - k + m][d] for m in range(lo, k - i + 1)] if d >= 0 else []
-    return lambda j: sum(map(mul, rows[j][lo:], w))
+    return lo, [rows[s][k - i - m] * rows[s + t - k + m][d] for m in range(lo, k - i + 1)] if d >= 0 else []
 
 
 def count_matching(p: CountParams) -> int:
@@ -114,5 +113,6 @@ def count_matching(p: CountParams) -> int:
     if min(r, s, t, k, ell, i, j) < 0 or k + ell > n or i > t or j > r:
         return 0
     rows = pascal_rows(n)
-    acc = block_hit_sum(rows, s, t, k, i, ell - j)(j)
+    lo, w = block_hit_sum(rows, s, t, k, i, ell - j)
+    acc = sum(map(mul, rows[j][lo:], w))
     return math.factorial(k) * math.factorial(ell) * math.factorial(n - k - ell) * rows[t][i] * rows[r][j] * acc

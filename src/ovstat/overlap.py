@@ -11,11 +11,11 @@ statistic of the pooled sample, and
 
 is an exact rational number depending only on the integer geometry.  This
 module evaluates the closed-form expression for ``p(k, ell)`` (cases k < ell
-and k = ell built from the block-hit counts of :mod:`ovstat.combinatorics`,
-k > ell through :meth:`OverlapSpec.swapped`) over the whole support rectangle
-in one pass: one Pascal triangle and factorial list for rows 0..N serve every
-cell, and along a row only the C(j', .) factor of each block-hit sum changes,
-so each cell is one dot product with weights formed once per row.
+and k = ell from the block-hit sums of :mod:`ovstat.combinatorics`, k > ell
+as k < ell with the samples exchanged) over the whole support rectangle in
+one pass: each cell is a small numerator over its own cancelled denominator,
+every binomial a cell of one Pascal triangle for rows 0..N, and each
+block-hit sum one dot product with weights formed once per row.
 
 All probabilities are `fractions.Fraction` values; nothing is rounded.
 """
@@ -132,28 +132,27 @@ def rank_match_probability(spec: OverlapSpec, k: int, ell: int) -> Fraction:
     return cached_table(spec)[(k, ell)]
 
 
-def _upper_half(spec: OverlapSpec, rows: list[list[int]], fact: list[int]) -> dict:
-    """N! p(k, ell) on the support cells with k <= ell.
-
-    With block sizes (a, b, c) and ``count`` = `count_matching`, N! p(k, k) =
-    b count(a, b-1, c; k-1, 0; k-i, k-j) and, for k < ell, N! p(k, ell) = (n-j+1)/(N-ell+1)
-    (a count(a-1, b, c; k-1, ell-k-1; k-i, ell-j-1) + b count(a, b-1, c; k-1, ell-k-1; k-i, ell-j)).
+def _upper_half(a: int, b: int, c: int, i: int, j: int, n: int, rows: list[list[int]]) -> dict:
+    """(numerator, denominator) of p(k, ell) on the support cells with k <= ell
+    of block sizes (a, b, c) and indices i, j, n.  With the block-hit sums S,
+    S_a, S_b (`block_hit_sum`), p(k, k) = b C(c, k-i) C(a, k-j) S / (k C(N, k))
+    and, for k < ell, p(k, ell) = (n-j+1) C(c, k-i) (b C(a, ell-j) S_b +
+    a C(a-1, ell-j-1) S_a) / (k (N-k) C(N, k) C(N-k-1, ell-k-1)).
     """
-    a, b, c = spec.block_sizes
-    i, j, N = spec.i, spec.j, spec.pooled_size
-    out = {}
-    for k in spec.k_support:
-        head = fact[k - 1] * rows[c][k - i]
-        if k in spec.ell_support:
-            diag = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k)(k - j)
-            out[(k, k)] = b * head * fact[N - k] * rows[a][k - j] * diag
-        sum_a = block_hit_sum(rows, b, c, k - 1, k - i, j - k)
-        sum_b = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k - 1)
+    N, out = a + b + c, {}
+    for k in range(i, min(i + c, j + a) + 1):  # no cell with k <= ell past k = j + a
+        head, den = rows[c][k - i], k * rows[N][k]
+        if k >= j:
+            lo, w = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k)
+            out[(k, k)] = (b * head * rows[a][k - j] * sum(map(mul, rows[k - j][lo:], w)), den)
+        lo_a, w_a = block_hit_sum(rows, b, c, k - 1, k - i, j - k)
+        lo_b, w_b = block_hit_sum(rows, b - 1, c, k - 1, k - i, j - k - 1)
+        head, den = (n - j + 1) * head, (N - k) * den
         for ell in range(max(k + 1, j), j + a + 1):
-            acc = b * rows[a][ell - j] * sum_b(ell - j)
+            acc = b * rows[a][ell - j] * sum(map(mul, rows[ell - j][lo_b:], w_b))
             if ell > j:
-                acc += a * rows[a - 1][ell - j - 1] * sum_a(ell - j - 1)
-            out[(k, ell)] = (spec.n - j + 1) * head * fact[ell - k - 1] * fact[N - ell] * acc
+                acc += a * rows[a - 1][ell - j - 1] * sum(map(mul, rows[ell - j - 1][lo_a:], w_a))
+            out[(k, ell)] = (head * acc, den * rows[N - k - 1][ell - k - 1])
     return out
 
 
@@ -173,16 +172,13 @@ class ProbabilityTable:
 
     def diagonal_mass(self) -> Fraction:
         """Probability that the two order statistics coincide."""
-        N = self.spec.pooled_size
-        return sum((self[(k, k)] for k in range(1, N + 1)), Fraction(0))
+        return sum((p for (k, ell), p in self.entries.items() if k == ell), Fraction(0))
 
     def row_marginal(self, k: int) -> Fraction:
-        N = self.spec.pooled_size
-        return sum((self[(k, ell)] for ell in range(1, N + 1)), Fraction(0))
+        return sum((p for (row, _), p in self.entries.items() if row == k), Fraction(0))
 
     def col_marginal(self, ell: int) -> Fraction:
-        N = self.spec.pooled_size
-        return sum((self[(k, ell)] for k in range(1, N + 1)), Fraction(0))
+        return sum((p for (_, col), p in self.entries.items() if col == ell), Fraction(0))
 
     def nonzero(self) -> dict[tuple[int, int], Fraction]:
         return {kl: p for kl, p in self.entries.items() if p != 0}
@@ -196,11 +192,11 @@ class ProbabilityTable:
         writes that dict.  ``decimal`` is ``"0"`` for a zero cell, else
         ``float(p)`` to 12 significant digits.
         """
-        N = self.spec.pooled_size
+        get, N = self.entries.get, self.spec.pooled_size
         for k in range(1, N + 1):
             for ell in range(1, N + 1):
-                p = self[(k, ell)]
-                yield k, ell, p.numerator, p.denominator, "0" if p == 0 else f"{float(p):.12g}"
+                p = get((k, ell))  # a zero inside the rectangle formats as "0" too
+                yield (k, ell, 0, 1, "0") if p is None else (k, ell, p.numerator, p.denominator, f"{float(p):.12g}")
 
     def _json_ends(self) -> tuple[dict, dict]:
         """The JSON form's keys before and after ``entries``."""
@@ -249,16 +245,12 @@ _ZERO = Fraction(0)
 
 def probability_table(spec: OverlapSpec) -> ProbabilityTable:
     """A fresh table of the support rectangle; entries sum exactly to 1.  The
-    k > ell half comes from the swapped spec; the triangle is dropped after."""
-    N = spec.pooled_size
-    rows = pascal_rows(N)
-    fact = list(itertools.accumulate(range(1, N + 1), mul, initial=1))
-    upper, lower = _upper_half(spec, rows, fact), _upper_half(spec.swapped(), rows, fact)
-    entries = {
-        (k, ell): Fraction(upper[(k, ell)] if k <= ell else lower[(ell, k)], fact[N])
-        for k in spec.k_support
-        for ell in spec.ell_support
-    }
+    k > ell half is the k <= ell half of the samples exchanged (blocks c, b, a,
+    indices j, i); the triangle is dropped after."""
+    (a, b, c), rows = spec.block_sizes, pascal_rows(spec.pooled_size)
+    upper, lower = _upper_half(a, b, c, spec.i, spec.j, spec.n, rows), _upper_half(c, b, a, spec.j, spec.i, spec.m, rows)
+    cells = itertools.product(spec.k_support, spec.ell_support)  # k-major
+    entries = {(k, ell): Fraction(*(upper[(k, ell)] if k <= ell else lower[(ell, k)])) for k, ell in cells}
     return ProbabilityTable(spec=spec, entries=entries)
 
 

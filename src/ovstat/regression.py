@@ -17,7 +17,7 @@ atom and its beta kernels below and above the conditioning level summed on
 the nodes, the parent-free conditional law of the first os's level given the
 second's.  Every public regression takes an array of conditioning values,
 each finite and in the closed support (else ``ValueError``), and a curve costs
-one cdf call and one quantile call on each side of the conditioning levels.
+one cdf call and one quantile call on each side of each 256-value slice.
 The second curve is the first one of the swapped geometry
 (:meth:`ovstat.overlap.OverlapSpec.swapped`), which exchanges the two
 samples, and shares its cached kernels.
@@ -58,15 +58,19 @@ __all__ = [
 # the floor only replaces levels F(y) * x that underflowed to 0, where Q may be
 # infinite; the cap keeps F + (1 - F) x from rounding to 1
 _U_RANGE = (np.finfo(float).smallest_subnormal, 1.0 - 2.0**-53)
+_SLICE = 256  # conditioning values a pass; a pass holds a few (values x 289) arrays
 
 
 def _vectorised(fn: Callable) -> Callable:
-    """Take the last argument, the conditioning value, as an array; a scalar gives a float."""
+    """The last argument, the conditioning value, as an array in passes of _SLICE values; a scalar gives a float."""
 
     @functools.wraps(fn)
     def wrapped(*args):
-        out = fn(*args[:-1], np.asarray(args[-1], dtype=float))
-        return float(out) if np.ndim(args[-1]) == 0 else out
+        y = np.asarray(args[-1], dtype=float)
+        if y.ndim == 0:
+            return float(fn(*args[:-1], y))
+        parts = np.split(y.ravel(), range(_SLICE, y.size, _SLICE))
+        return np.concatenate([fn(*args[:-1], part) for part in parts]).reshape(y.shape)
 
     return wrapped
 

@@ -124,7 +124,8 @@ def test_oracle_equality_small():
 
 def test_table_matches_per_cell_reference():
     # the one-pass build against the per-cell formula with one math.comb per
-    # binomial: every geometry with r <= 3 and m, n <= 6, then two large ones
+    # binomial: every geometry with r <= 3 and m, n <= 6, then N = 130 and the
+    # benchmark's ladder of N = 70-250 with middle indices
     specs = [
         OverlapSpec(r, m, n, i, j)
         for r in range(4)
@@ -135,7 +136,9 @@ def test_table_matches_per_cell_reference():
         for j in range(1, n + 1)
     ]
     assert len(specs) == 1196
-    specs += [OverlapSpec(40, 100, 90, 50, 45), OverlapSpec(50, 120, 100, 60, 50)]
+    specs.append(OverlapSpec(40, 100, 90, 50, 45))
+    ladder = [(20, 60, 50), (30, 90, 70), (50, 120, 100), (70, 160, 130), (99, 162, 151)]
+    specs += [OverlapSpec(r, m, n, -(-m // 2), -(-n // 2)) for r, m, n in ladder]
     for spec in specs:
         table = probability_table(spec)
         assert list(table.entries) == [(k, ell) for k in spec.k_support for ell in spec.ell_support]

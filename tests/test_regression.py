@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import mpmath
@@ -513,3 +514,47 @@ def test_midsample_identity_curve_warns_once():
         curve = tabulate(lambda y: mean_original_given_extended(spec, model, y), model, size=99)
     assert [w.category for w in caught] == [RuntimeWarning]
     assert np.max(np.abs(curve.values - curve.grid) / np.maximum(np.abs(curve.grid), 1.0)) <= 1e-10
+
+
+def test_tabulate_calls_a_reducing_producer_per_point():
+    # a producer that takes the grid array but reduces it to one number gave
+    # that number, 1.79176, at every point of this grid
+    curve = tabulate(lambda x: float(np.max(x)), EXP, size=5)
+    assert np.array_equal(curve.values, curve.grid)
+
+
+CB = parent.complementary_beta(0.5, 1.5)
+SLICED_CALLS = {
+    "mean_original_given_extended": (mean_original_given_extended, (OverlapSpec(1, 3, 3, 2, 2), CB)),
+    "conditional_os_mean below": (conditional_os_mean, (CB, 1, 2, 3)),
+    "conditional_os_mean above": (conditional_os_mean, (CB, 3, 2, 3)),
+    "pair_regression_r1": (pair_regression_r1, ("min_given_max", CB)),
+    "mean_given_single": (mean_given_single, (CB, 2, 3)),
+    "mean_adjacent": (mean_adjacent, (CB, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(SLICED_CALLS))
+def test_sliced_array_call_equals_one_pass(name):
+    # 600 points span three slices, the last one partial; the undecorated
+    # function evaluates them all in one pass
+    fn, args = SLICED_CALLS[name]
+    ys = np.asarray(CB.quantile(np.linspace(0.001, 0.999, 600)), dtype=float).reshape(2, 300)
+    got = fn(*args, ys)
+    assert got.shape == (2, 300)
+    assert np.array_equal(got, fn.__wrapped__(*args, ys))
+
+
+def test_long_array_call_holds_one_slice_of_temporaries():
+    # 10^4 points in one pass held every point's (289,) level and quantile
+    # arrays at once: a 393 MB peak on this parent
+    spec = OverlapSpec(1, 3, 3, 2, 2)
+    ys = np.asarray(CB.quantile(np.linspace(0.001, 0.999, 10_000)), dtype=float)
+    mean_original_given_extended(spec, CB, ys[:2])  # the cached kernels are built outside the trace
+    tracemalloc.start()
+    try:
+        mean_original_given_extended(spec, CB, ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6, peak
