@@ -61,6 +61,14 @@ def _pair_kernel(N: int, k: int, ell: int, u, v):
     return coeff * u ** (k - 1) * np.maximum(v - u, 0.0) ** (ell - k - 1) * (1.0 - v) ** (N - ell)
 
 
+def _points(x) -> np.ndarray:
+    """x as a float array; a nan raises ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        raise ValueError("density arguments must not be nan")
+    return x
+
+
 def marginal_os_density(model: ParentModel, j: int, n: int, x) -> float | np.ndarray:
     """Density of the j-th order statistic of an n-sample at x."""
     if not 1 <= j <= n:
@@ -87,7 +95,7 @@ class NuDensity:
     ``(k, ell, w)`` with k != ell off the diagonal, ``atom_terms`` ``(k, w)``
     on it.  ``continuous(x, y)`` is the off-diagonal part (zero on the
     diagonal); ``atom(x)`` is the density of the diagonal mass along x = y.
-    Scalars give a float.
+    Scalars give a float; a nan argument raises ``ValueError``.
     """
 
     model: ParentModel
@@ -96,7 +104,7 @@ class NuDensity:
     atom_terms: tuple[tuple[int, float], ...]
 
     def continuous(self, x, y) -> float | np.ndarray:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+        x, y = _points(x), _points(y)
         u, v = np.asarray(self.model.cdf(x), dtype=float), np.asarray(self.model.cdf(y), dtype=float)
         N, terms = self.pooled_size, self.continuous_terms
         below = sum((w * _pair_kernel(N, k, ell, u, v) for k, ell, w in terms if k < ell), 0.0)
@@ -107,7 +115,7 @@ class NuDensity:
         return float(out) if np.ndim(out) == 0 else out
 
     def atom(self, x) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
+        x = _points(x)
         u = np.asarray(self.model.cdf(x), dtype=float)
         kernels = sum((w * _os_kernel(self.pooled_size, k, u) for k, w in self.atom_terms), 0.0)
         out = kernels * np.asarray(self.model.pdf(x), dtype=float)

@@ -17,22 +17,25 @@ atom and its beta kernels below and above the conditioning level summed on
 the nodes, the parent-free conditional law of the first os's level given the
 second's.  Every public regression takes an array of conditioning values,
 each finite and in the closed support (else ``ValueError``), and a curve costs
-one cdf call and one quantile call on each side of each 256-value slice.
-The second curve is the first one of the swapped geometry
+one cdf call and, per 256-value slice, one quantile call on each side of the
+conditioning level whose kernel rows are not all zero.  The second curve is
+the first one of the swapped geometry
 (:meth:`ovstat.overlap.OverlapSpec.swapped`), which exchanges the two
 samples, and shares its cached kernels.
 
-Specialised closed forms for the smallest genuinely overlapping geometry
-(offset 1, both samples of size 2) and for extension-sample regressions
-(same-index adjacent, and conditioning on a single draw, whose lowest and
-highest indices give the minimum and maximum regressions) are implemented
-independently of the general mixture; agreement of the two paths is part of
-the verification suite.
+The paper's named regressions are geometries of the same mixture: the
+smallest genuinely overlapping one (offset 1, both samples of size 2) is
+(1, 2, 2, i, j); conditioning on a single draw is E(second | first) of
+(0, 1, n, 1, j), whose lowest and highest indices give the minimum and
+maximum extensions; the same-index adjacent extension is E(second | first)
+of (0, m, m + 1, i, i).  Their hand-derived closed forms are the test suite's
+independent reference (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from typing import Callable
 
@@ -101,25 +104,24 @@ def _integral_above(model: ParentModel, kernel: np.ndarray, F) -> np.ndarray:
     return _integral(model, kernel, F, 1.0)
 
 
-def _quad_q(model: ParentModel, weight: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
-    """Integral of Q(u) * weight(u) over (lo, hi) in quantile coordinates, 0 where hi <= lo."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    return np.where(hi > lo, (hi - lo) * _integral(model, weight(lo[..., None] + (hi - lo)[..., None] * _X), lo, hi), 0.0)
-
-
 def _beta_kernel(a: int, size: int) -> np.ndarray:
     """Density on the nodes of the relative level z of the a-th of ``size`` draws."""
     return a * binom(size, a) * _X ** (a - 1) * _C ** (size - a)
 
 
 def _check_mean(model: ParentModel) -> None:
-    if not model.finite_mean:
-        warnings.warn(
-            f"parent {model.name!r} appears to have an infinite absolute mean; "
-            "regression integrals may diverge",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+    """Warn of a parent with an infinite mean, at the first caller outside this module."""
+    if model.finite_mean:
+        return
+    frame, level = sys._getframe(1), 2
+    while frame.f_code.co_filename == _check_mean.__code__.co_filename:
+        frame, level = frame.f_back, level + 1
+    warnings.warn(
+        f"parent {model.name!r} appears to have an infinite absolute mean; "
+        "regression integrals may diverge",
+        RuntimeWarning,
+        stacklevel=level,
+    )
 
 
 @_vectorised
@@ -168,13 +170,16 @@ def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float
 
     Only the level factors W(F(y)) of the rows of :func:`_mixture_kernels`
     depend on y, so an array of points costs one cdf call and one quantile
-    call per side of F(y); each point's W meets the rows in its own product.
+    call per side of F(y) that carries kernel weight; each point's W meets the
+    rows in its own product.
     """
     _check_mean(model)
     a, b, const, atoms, below, above = _mixture_kernels(spec)
     F = _level(model, y)
     wf = (const * F[..., None] ** a * (1.0 - F[..., None]) ** b)[..., None, :]
-    return (wf @ atoms)[..., 0] * y + _integral(model, (wf @ below)[..., 0, :], 0.0, F) + _integral_above(model, (wf @ above)[..., 0, :], F)
+    lower = _integral(model, (wf @ below)[..., 0, :], 0.0, F) if below.any() else 0.0
+    upper = _integral_above(model, (wf @ above)[..., 0, :], F) if above.any() else 0.0
+    return (wf @ atoms)[..., 0] * y + lower + upper
 
 
 def mean_extended_given_original(spec: OverlapSpec, model: ParentModel, x: float) -> float:
@@ -183,49 +188,23 @@ def mean_extended_given_original(spec: OverlapSpec, model: ParentModel, x: float
 
 
 # ---------------------------------------------------------------------------
-# closed forms for offset 1, both samples of size 2
+# the paper's named regressions, as geometries of the mixture
 # ---------------------------------------------------------------------------
 
-PAIR_REGRESSIONS_R1 = (
-    "max_given_max",
-    "min_given_min",
-    "min_given_max",
-    "max_given_min",
-)
+PAIR_REGRESSIONS_R1 = ("max_given_max", "min_given_min", "min_given_max", "max_given_min")
 
 
-@_vectorised
 def pair_regression_r1(which: str, model: ParentModel, y: float) -> float:
-    """Closed-form regressions for samples {X1, X2} and {X2, X3}.
+    """Regressions between the extremes of the samples {X1, X2} and {X2, X3}.
 
     ``which`` picks the conditioned/conditioning os pair:
     ``max_given_max`` is E(max of first pair | max of second pair = y), and so
-    on.  Only interior y is valid: the min/max forms divide by F(y) or 1-F(y).
+    on; each is the mixture of (1, 2, 2, i, j), a minimum index 1 and a maximum 2.
     """
     if which not in PAIR_REGRESSIONS_R1:
         raise ValueError(f"unknown regression {which!r}; choose from {PAIR_REGRESSIONS_R1}")
-    _check_mean(model)
-    w = _level(model, y)
-    if which.endswith("max"):  # the forms given a maximum divide by F(y)
-        if (w <= 0.0).any():
-            raise ValueError("conditioning maximum at the lower support endpoint")
-        lower_u = _quad_q(model, lambda u: u, 0.0, w)
-        if which == "max_given_max":
-            return 0.5 * y * w + _quad_q(model, lambda u: 1.0, w, 1.0) + lower_u / w
-        lower = _quad_q(model, lambda u: 1.0, 0.0, w)
-        return 0.5 * y * (1.0 - w) + lower / (2.0 * w) + lower - lower_u / w
-    if (w >= 1.0).any():  # and those given a minimum by 1 - F(y)
-        raise ValueError("conditioning minimum at the upper support endpoint")
-    upper_b = _quad_q(model, lambda u: 1.0 - u, w, 1.0)
-    if which == "min_given_min":
-        return 0.5 * y * (1.0 - w) + _quad_q(model, lambda u: 1.0, 0.0, w) + upper_b / (1.0 - w)
-    upper = _quad_q(model, lambda u: 1.0, w, 1.0)
-    return 0.5 * y * w + upper / (2.0 * (1.0 - w)) + upper - upper_b / (1.0 - w)
-
-
-# ---------------------------------------------------------------------------
-# closed forms for extension-sample regressions
-# ---------------------------------------------------------------------------
+    first, _, second = which.split("_")
+    return mean_original_given_extended(OverlapSpec(1, 2, 2, 1 + (first == "max"), 1 + (second == "max")), model, y)
 
 
 def mean_min_extended(model: ParentModel, n: int, m: int, x: float) -> float:
@@ -244,33 +223,18 @@ def mean_max_extended(model: ParentModel, n: int, m: int, x: float) -> float:
     return mean_given_single(model, n - m + 1, n - m + 1, x)
 
 
-@_vectorised
 def mean_adjacent(model: ParentModel, i: int, m: int, x: float) -> float:
-    """E(i-th os after one extra draw | i-th os of m draws = x), 1 <= i <= m."""
+    """E(i-th os after one extra draw | i-th os of m draws = x), 1 <= i <= m:
+    E(second | first) of (0, m, m + 1, i, i)."""
     if not 1 <= i <= m:
         raise ValueError("need 1 <= i <= m")
-    _check_mean(model)
-    w = _level(model, x)
-    if i > 1 and (w <= 0.0).any():
-        raise ValueError("conditioning value at the lower support endpoint")
-    lower = _quad_q(model, lambda u: u ** (i - 1), 0.0, w)
-    return x * (1.0 - w) + i * lower / (w ** (i - 1) if i > 1 else 1.0)
+    return mean_extended_given_original(OverlapSpec(0, m, m + 1, i, i), model, x)
 
 
-@_vectorised
 def mean_given_single(model: ParentModel, j: int, n: int, x: float) -> float:
-    """E(j-th os of n draws | one fixed draw = x)."""
+    """E(j-th os of n draws | one fixed draw = x): E(second | first) of (0, 1, n, 1, j)."""
     if not 1 <= j <= n:
         raise ValueError("need 1 <= j <= n")
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_mean(model)
-    w = _level(model, x)
-    total = x * binom(n - 1, j - 1) * w ** (j - 1) * (1.0 - w) ** (n - j)
-    if j <= n - 1:  # the fixed draw ranks above j: j-th os of the other n-1
-        c = j * binom(n - 1, j)
-        total += _quad_q(model, lambda u: c * u ** (j - 1) * (1.0 - u) ** (n - 1 - j), 0.0, w)
-    if j >= 2:  # the fixed draw ranks below j: (j-1)-th os of the other n-1
-        c = (j - 1) * binom(n - 1, j - 1)
-        total += _quad_q(model, lambda u: c * u ** (j - 2) * (1.0 - u) ** (n - j), w, 1.0)
-    return total
+    return mean_extended_given_original(OverlapSpec(0, 1, n, 1, j), model, x)

@@ -18,7 +18,12 @@ slope route (``brentq`` per point), and the mirrored min- and
 max-regression bodies that the single-draw kernel's two ends replace.  The
 regression oracle is the per-term rank mixture, which builds every term's
 beta kernel and converts every table cell at each point, that the cached
-per-geometry kernels of ``ovstat.regression`` replace.  The nu-mass oracle is
+per-geometry kernels of ``ovstat.regression`` replace.  The closed-form
+regression oracles are the hand-derived formulas of the paper's named
+geometries (the r = 1, m = n = 2 pairs, the adjacent extension, conditioning
+on a single draw and the minimum and maximum extensions), each integrated by
+``quad_q`` on its own quantile weight, that the library evaluates as
+geometries of the rank mixture.  The nu-mass oracle is
 the 2-D Gauss-Legendre quadrature of the assembled density that the
 library's duality audit and weight total replace.  The per-term density
 oracles evaluate a ``NuDensity`` one weighted term at a time, masking each by
@@ -626,3 +631,64 @@ def mean_original_given_extended_reference(spec: OverlapSpec, model: ParentModel
             else:
                 at_y += p * wf
     return at_y * y + _integral(model, below, 0.0, F) + _integral_above(model, above, F)
+
+
+def quad_q(model: ParentModel, weight: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
+    """Integral of Q(u) * weight(u) over (lo, hi) in quantile coordinates, 0 where hi <= lo."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return np.where(hi > lo, (hi - lo) * _integral(model, weight(lo[..., None] + (hi - lo)[..., None] * TANH_SINH_NODES), lo, hi), 0.0)
+
+
+# The closed-form regressions of the paper's named geometries, each derived by
+# hand from its own joint law.  They divide by F(y) or 1 - F(y), so they hold
+# at interior conditioning values only.
+
+
+def pair_regression_r1_reference(which: str, model: ParentModel, y) -> np.ndarray:
+    """Closed forms for samples {X1, X2} and {X2, X3}: ``max_given_max`` is
+    E(max of first pair | max of second pair = y), and so on."""
+    y = np.asarray(y, dtype=float)
+    w = np.asarray(model.cdf(y), dtype=float)
+    if which.endswith("max"):
+        lower_u = quad_q(model, lambda u: u, 0.0, w)
+        if which == "max_given_max":
+            return 0.5 * y * w + quad_q(model, lambda u: 1.0, w, 1.0) + lower_u / w
+        lower = quad_q(model, lambda u: 1.0, 0.0, w)
+        return 0.5 * y * (1.0 - w) + lower / (2.0 * w) + lower - lower_u / w
+    upper_b = quad_q(model, lambda u: 1.0 - u, w, 1.0)
+    if which == "min_given_min":
+        return 0.5 * y * (1.0 - w) + quad_q(model, lambda u: 1.0, 0.0, w) + upper_b / (1.0 - w)
+    upper = quad_q(model, lambda u: 1.0, w, 1.0)
+    return 0.5 * y * w + upper / (2.0 * (1.0 - w)) + upper - upper_b / (1.0 - w)
+
+
+def mean_adjacent_reference(model: ParentModel, i: int, m: int, x) -> np.ndarray:
+    """E(i-th os after one extra draw | i-th os of m draws = x)."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(model.cdf(x), dtype=float)
+    lower = quad_q(model, lambda u: u ** (i - 1), 0.0, w)
+    return x * (1.0 - w) + i * lower / (w ** (i - 1) if i > 1 else 1.0)
+
+
+def mean_given_single_reference(model: ParentModel, j: int, n: int, x) -> np.ndarray:
+    """E(j-th os of n draws | one fixed draw = x)."""
+    x = np.asarray(x, dtype=float)
+    w = np.asarray(model.cdf(x), dtype=float)
+    total = x * binom(n - 1, j - 1) * w ** (j - 1) * (1.0 - w) ** (n - j)
+    if j <= n - 1:  # the fixed draw ranks above j: j-th os of the other n-1
+        c = j * binom(n - 1, j)
+        total += quad_q(model, lambda u: c * u ** (j - 1) * (1.0 - u) ** (n - 1 - j), 0.0, w)
+    if j >= 2:  # the fixed draw ranks below j: (j-1)-th os of the other n-1
+        c = (j - 1) * binom(n - 1, j - 1)
+        total += quad_q(model, lambda u: c * u ** (j - 2) * (1.0 - u) ** (n - j), w, 1.0)
+    return total
+
+
+def mean_min_extended_reference(model: ParentModel, n: int, m: int, x) -> np.ndarray:
+    """E(min of n draws | min of the first m draws = x): the lowest of x and n - m new draws."""
+    return mean_given_single_reference(model, 1, n - m + 1, x)
+
+
+def mean_max_extended_reference(model: ParentModel, n: int, m: int, x) -> np.ndarray:
+    """E(max of n draws | max of the first m draws = x): the highest of x and n - m new draws."""
+    return mean_given_single_reference(model, n - m + 1, n - m + 1, x)

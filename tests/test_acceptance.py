@@ -31,15 +31,12 @@ from ovstat.reconstruct import (
     midsample_quantile_density,
 )
 from ovstat.regression import (
-    mean_adjacent,
     mean_extended_given_original,
-    mean_given_single,
-    mean_max_extended,
-    mean_min_extended,
     mean_original_given_extended,
     pair_regression_r1,
 )
 
+import oracles
 from oracles import bruteforce_rank_histograms, nu_mass_quadrature
 
 UNI = parent.uniform()
@@ -265,14 +262,14 @@ def test_criterion_7_two_path_agreement():
             for y in pts:
                 diff = abs(
                     mean_original_given_extended(spec, model, float(y))
-                    - pair_regression_r1(which, model, float(y))
+                    - oracles.pair_regression_r1_reference(which, model, float(y))
                 )
                 worst = max(worst, diff)
         closed_cases = [
-            (OverlapSpec(0, 2, 5, 1, 1), lambda mdl, x: mean_min_extended(mdl, 5, 2, x)),
-            (OverlapSpec(0, 2, 5, 2, 5), lambda mdl, x: mean_max_extended(mdl, 5, 2, x)),
-            (OverlapSpec(0, 3, 4, 2, 2), lambda mdl, x: mean_adjacent(mdl, 2, 3, x)),
-            (OverlapSpec(0, 1, 3, 1, 2), lambda mdl, x: mean_given_single(mdl, 2, 3, x)),
+            (OverlapSpec(0, 2, 5, 1, 1), lambda mdl, x: oracles.mean_min_extended_reference(mdl, 5, 2, x)),
+            (OverlapSpec(0, 2, 5, 2, 5), lambda mdl, x: oracles.mean_max_extended_reference(mdl, 5, 2, x)),
+            (OverlapSpec(0, 3, 4, 2, 2), lambda mdl, x: oracles.mean_adjacent_reference(mdl, 2, 3, x)),
+            (OverlapSpec(0, 1, 3, 1, 2), lambda mdl, x: oracles.mean_given_single_reference(mdl, 2, 3, x)),
         ]
         for spec, closed in closed_cases:
             for x in pts:

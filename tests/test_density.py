@@ -289,6 +289,21 @@ def test_rectangle_probability_refuses_nan(model):
     assert rectangle_probability(spec, model, INF, INF) == pytest.approx(1.0, abs=1e-15)
 
 
+def test_density_methods_refuse_nan():
+    # continuous(nan, 1.0) gave 0.0 and atom(nan) gave nan
+    dens = overlap_density(OverlapSpec(1, 3, 3, 2, 2), EXP)
+    for x, y in [(math.nan, 1.0), (1.0, math.nan), (np.array([0.5, math.nan]), 1.0)]:
+        with pytest.raises(ValueError, match="nan"):
+            dens.continuous(x, y)
+    for x in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="nan"):
+            dens.atom(x)
+    with pytest.raises(ValueError, match="nan"):
+        marginal_os_density(EXP, 2, 3, math.nan)
+    with pytest.raises(ValueError, match="nan"):
+        joint_os_density(EXP, 1, 2, 3, 0.5, math.nan)
+
+
 def test_rectangle_probability_refuses_n_above_1029(monkeypatch):
     # at N = 1030 the largest binomial C(N, N/2) overflows a float, and the
     # law's construction raised a bare OverflowError after the table was built

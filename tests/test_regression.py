@@ -2,11 +2,13 @@ import functools
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
+import oracles
 from oracles import mean_original_given_extended_reference
 from ovstat import parent, regression
 from ovstat.combinatorics import binom
@@ -23,7 +25,6 @@ from ovstat.regression import (
     mean_original_given_extended,
     pair_regression_r1,
 )
-from ovstat.regression import _quad_q
 
 UNI = parent.uniform()
 EXP = parent.exponential()
@@ -134,7 +135,7 @@ def test_two_path_agreement_pair_forms():
         for which, spec in specs.items():
             for y in ys:
                 a = mean_original_given_extended(spec, model, float(y))
-                b = pair_regression_r1(which, model, float(y))
+                b = oracles.pair_regression_r1_reference(which, model, float(y))
                 assert a == pytest.approx(b, abs=1e-7), (which, model.name, y)
 
 
@@ -144,16 +145,16 @@ def test_two_path_agreement_extension_forms():
         for x in xs:
             x = float(x)
             assert mean_extended_given_original(OverlapSpec(0, 2, 4, 1, 1), model, x) == pytest.approx(
-                mean_min_extended(model, 4, 2, x), abs=1e-7
+                oracles.mean_min_extended_reference(model, 4, 2, x), abs=1e-7
             )
             assert mean_extended_given_original(OverlapSpec(0, 2, 4, 2, 4), model, x) == pytest.approx(
-                mean_max_extended(model, 4, 2, x), abs=1e-7
+                oracles.mean_max_extended_reference(model, 4, 2, x), abs=1e-7
             )
             assert mean_extended_given_original(OverlapSpec(0, 3, 4, 2, 2), model, x) == pytest.approx(
-                mean_adjacent(model, 2, 3, x), abs=1e-7
+                oracles.mean_adjacent_reference(model, 2, 3, x), abs=1e-7
             )
             assert mean_extended_given_original(OverlapSpec(0, 1, 3, 1, 2), model, x) == pytest.approx(
-                mean_given_single(model, 2, 3, x), abs=1e-7
+                oracles.mean_given_single_reference(model, 2, 3, x), abs=1e-7
             )
 
 
@@ -311,7 +312,7 @@ def test_quad_q_on_tabulated_quantile():
     assert np.array_equal(cb.quantile(table.u), table.values)
     for level in (0.5, 0.9, 0.99, 0.999):
         want = hermite_tail_integral(cb, table.u, table.values, table.deriv, level)
-        got = _quad_q(cb, lambda u: 1.0, level, 1.0)
+        got = oracles.quad_q(cb, lambda u: 1.0, level, 1.0)
         assert abs(got - want) <= 1e-6 * abs(want), level
 
 
@@ -385,6 +386,89 @@ def test_mixture_equals_the_per_term_reference(model):
     assert worst <= 1e-15, worst
 
 
+# each public closed-form name against the hand-derived formula it replaced
+CLOSED_FORM_ORACLES = {
+    **{
+        f"pair {which}": (functools.partial(pair_regression_r1, which), functools.partial(oracles.pair_regression_r1_reference, which))
+        for which in regression.PAIR_REGRESSIONS_R1
+    },
+    **{
+        f"single {j} of {n}": (
+            lambda md, x, j=j, n=n: mean_given_single(md, j, n, x),
+            lambda md, x, j=j, n=n: oracles.mean_given_single_reference(md, j, n, x),
+        )
+        for j, n in [(1, 3), (2, 3), (3, 3), (2, 5), (4, 7)]
+    },
+    **{
+        f"adjacent {i} of {m}": (
+            lambda md, x, i=i, m=m: mean_adjacent(md, i, m, x),
+            lambda md, x, i=i, m=m: oracles.mean_adjacent_reference(md, i, m, x),
+        )
+        for i, m in [(1, 3), (2, 3), (3, 3), (3, 6)]
+    },
+    "min of 5 given 2": (
+        lambda md, x: mean_min_extended(md, 5, 2, x),
+        lambda md, x: oracles.mean_min_extended_reference(md, 5, 2, x),
+    ),
+    "max of 5 given 2": (
+        lambda md, x: mean_max_extended(md, 5, 2, x),
+        lambda md, x: oracles.mean_max_extended_reference(md, 5, 2, x),
+    ),
+}
+
+
+@pytest.mark.parametrize("model", MIXTURE_PARENTS, ids=lambda model: model.name)
+def test_closed_forms_equal_their_oracles(model):
+    ys = np.asarray(model.quantile(np.linspace(0.01, 0.99, 99)), dtype=float)
+    worst = 0.0
+    for label, (fn, oracle) in CLOSED_FORM_ORACLES.items():
+        got, want = fn(model, ys), oracle(model, ys)
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+    assert worst <= 1e-15, worst
+
+
+# the benchmark's five ladder geometries, N = 70..250, with their middle
+# indices, and a small one
+LARGE_SPECS = [
+    OverlapSpec(r, m, n, (m + 1) // 2, (n + 1) // 2) for r, m, n in [(20, 60, 50), (30, 90, 70), (50, 120, 100), (70, 160, 130), (99, 162, 151)]
+] + [OverlapSpec(2, 5, 6, 3, 3)]
+DYADIC_LEVELS = [Fraction(1, 16), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(15, 16)]
+
+
+def exact_uniform_mixture(spec, y):
+    """E(first os | second os = y) on the uniform parent, exact at each level y.
+
+    E(U_k | U_ell = y) is y k / ell for k <= ell and
+    y + (1 - y)(k - ell) / (N - ell + 1) for k > ell, so the cells of a rank ell
+    enter through two row sums, the coefficients of y and of 1 - y, formed once.
+    """
+    N, j, table = spec.pooled_size, spec.j, probability_table(spec)
+    rows = {}
+    for (k, ell), p in table.nonzero().items():
+        coeff_y, coeff_rest = rows.get(ell, (0, 0))
+        if k <= ell:
+            rows[ell] = (coeff_y + p * k / ell, coeff_rest)
+        else:
+            rows[ell] = (coeff_y + p, coeff_rest + p * (k - ell) / (N - ell + 1))
+    values = []
+    for v in y:
+        total = Fraction(0)
+        for ell, (coeff_y, coeff_rest) in rows.items():
+            weight = Fraction(ell * binom(N, ell), j * binom(spec.n, j)) * v ** (ell - j) * (1 - v) ** (j + spec.r - ell)
+            total += weight * (v * coeff_y + (1 - v) * coeff_rest)
+        values.append(total)
+    return values
+
+
+@pytest.mark.parametrize("spec", LARGE_SPECS, ids=str)
+def test_mixture_on_the_uniform_equals_the_exact_sum(spec):
+    # F(y) = y exactly at dyadic levels, so the float mixture and the exact sum
+    # see the same conditioning level (measured: 1.7e-15 at N = 250)
+    got = mean_original_given_extended(spec, UNI, np.array([float(v) for v in DYADIC_LEVELS]))
+    for value, want in zip(got, exact_uniform_mixture(spec, DYADIC_LEVELS)):
+        assert abs(Fraction(value) - want) <= Fraction(1, 10**14) * max(abs(want), 1), (spec, value, float(want))
+
+
 def test_mixture_kernels_are_built_once_per_geometry():
     spec = OverlapSpec(2, 4, 5, 2, 3)
     kernels = regression._mixture_kernels
@@ -430,19 +514,34 @@ def test_conditioning_value_off_the_support_refused(name):
             fn(model, np.array([float(model.quantile(0.5)), y, float(model.quantile(0.25))]))
 
 
+# the regressions that check the parent's mean; conditional_os_mean does not
+WARNING_REGRESSIONS = [name for name in PUBLIC_REGRESSIONS if not name.startswith("conditional_os_mean")]
+
+
+@pytest.mark.parametrize("name", WARNING_REGRESSIONS)
+def test_infinite_mean_warning_points_at_the_caller(name):
+    # it pointed into regression.py for mean_extended_given_original,
+    # mean_min_extended and mean_max_extended
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        PUBLIC_REGRESSIONS[name](parent.negative_pareto(0.8), -1.0)
+    assert [(w.category, w.filename) for w in caught] == [(RuntimeWarning, __file__)]
+
+
 def test_finite_support_endpoint_is_inside():
     # the one-sided formulas at a finite endpoint are kept
     assert mean_original_given_extended(OverlapSpec(1, 3, 3, 2, 2), UNI, 0.0) == pytest.approx(2.0 / 9.0)
     assert mean_given_single(UNI, 2, 3, 1.0) == pytest.approx(2.0 / 3.0)
     assert mean_adjacent(EXP, 1, 3, 0.0) == 0.0
     assert conditional_os_mean(UNI, 2, 2, 3, 1.0) == 1.0
-    # and so are the branch refusals that divide by F(y) or 1 - F(y)
-    with pytest.raises(ValueError, match="lower support endpoint"):
-        pair_regression_r1("max_given_max", EXP, 0.0)
-    with pytest.raises(ValueError, match="upper support endpoint"):
-        pair_regression_r1("min_given_min", UNI, np.array([0.5, 1.0]))
-    with pytest.raises(ValueError, match="lower support endpoint"):
-        mean_adjacent(UNI, 2, 3, np.array([0.0, 0.5]))
+    # where a closed form would divide by F(y) or 1 - F(y) the mixture gives the
+    # one-sided limit: given max(X2, X3) = 0, X2 = 0 and max(X1, X2) = X1
+    assert pair_regression_r1("max_given_max", EXP, 0.0) == 1.0
+    assert pair_regression_r1("min_given_min", UNI, np.array([0.5, 1.0]))[1] == 0.5
+    assert mean_adjacent(UNI, 2, 3, np.array([0.0, 0.5]))[0] == 0.0
+    # the level F(1) = 1 rounds onto the cap, where the upper side is not resolved
+    with pytest.raises(ValueError, match="upper"):
+        pair_regression_r1("max_given_min", UNI, 1.0)
 
 
 def closed_form_regressions(model):
@@ -524,13 +623,33 @@ def test_tabulate_calls_a_reducing_producer_per_point():
 
 
 CB = parent.complementary_beta(0.5, 1.5)
+ONE_PASS_MIXTURE = mean_original_given_extended.__wrapped__
+# each call and the undecorated function of the geometry it evaluates
 SLICED_CALLS = {
-    "mean_original_given_extended": (mean_original_given_extended, (OverlapSpec(1, 3, 3, 2, 2), CB)),
-    "conditional_os_mean below": (conditional_os_mean, (CB, 1, 2, 3)),
-    "conditional_os_mean above": (conditional_os_mean, (CB, 3, 2, 3)),
-    "pair_regression_r1": (pair_regression_r1, ("min_given_max", CB)),
-    "mean_given_single": (mean_given_single, (CB, 2, 3)),
-    "mean_adjacent": (mean_adjacent, (CB, 2, 3)),
+    "mean_original_given_extended": (
+        functools.partial(mean_original_given_extended, OverlapSpec(1, 3, 3, 2, 2), CB),
+        functools.partial(ONE_PASS_MIXTURE, OverlapSpec(1, 3, 3, 2, 2), CB),
+    ),
+    "conditional_os_mean below": (
+        functools.partial(conditional_os_mean, CB, 1, 2, 3),
+        functools.partial(conditional_os_mean.__wrapped__, CB, 1, 2, 3),
+    ),
+    "conditional_os_mean above": (
+        functools.partial(conditional_os_mean, CB, 3, 2, 3),
+        functools.partial(conditional_os_mean.__wrapped__, CB, 3, 2, 3),
+    ),
+    "pair_regression_r1": (
+        functools.partial(pair_regression_r1, "min_given_max", CB),
+        functools.partial(ONE_PASS_MIXTURE, OverlapSpec(1, 2, 2, 1, 2), CB),
+    ),
+    "mean_given_single": (
+        functools.partial(mean_given_single, CB, 2, 3),
+        functools.partial(ONE_PASS_MIXTURE, OverlapSpec(0, 1, 3, 1, 2).swapped(), CB),
+    ),
+    "mean_adjacent": (
+        functools.partial(mean_adjacent, CB, 2, 3),
+        functools.partial(ONE_PASS_MIXTURE, OverlapSpec(0, 3, 4, 2, 2).swapped(), CB),
+    ),
 }
 
 
@@ -538,11 +657,11 @@ SLICED_CALLS = {
 def test_sliced_array_call_equals_one_pass(name):
     # 600 points span three slices, the last one partial; the undecorated
     # function evaluates them all in one pass
-    fn, args = SLICED_CALLS[name]
+    fn, one_pass = SLICED_CALLS[name]
     ys = np.asarray(CB.quantile(np.linspace(0.001, 0.999, 600)), dtype=float).reshape(2, 300)
-    got = fn(*args, ys)
+    got = fn(ys)
     assert got.shape == (2, 300)
-    assert np.array_equal(got, fn.__wrapped__(*args, ys))
+    assert np.array_equal(got, one_pass(ys))
 
 
 def test_long_array_call_holds_one_slice_of_temporaries():
