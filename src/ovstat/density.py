@@ -65,7 +65,7 @@ def _points(x) -> np.ndarray:
     """x as a float array; a nan raises ``ValueError``."""
     x = np.asarray(x, dtype=float)
     if np.isnan(x).any():
-        raise ValueError("density arguments must not be nan")
+        raise ValueError("x and y must not be nan")
     return x
 
 
@@ -156,9 +156,7 @@ def rectangle_probability(spec: OverlapSpec, model: ParentModel, x, y) -> float 
     """P(first os <= x, second os <= y) = sum_{s,t} P(S_F(x) = s, S_F(y) = t) C[s, t],
     C the table's 2-D cumulative sum.  x and y broadcast (a grid of E cells holds
     E (N+1)^2 floats); scalars give a float; a nan level, or N above 1029, raises ``ValueError``."""
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if np.isnan(x).any() or np.isnan(y).any():
-        raise ValueError("rectangle levels must not be nan")
+    x, y = _points(x), _points(y)
     N = spec.pooled_size
     if N > 1029:
         raise ValueError(f"rectangle probabilities need N <= 1029, where C(N, N/2) is a finite float; got N = {N}")

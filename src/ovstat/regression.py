@@ -35,6 +35,7 @@ independent reference (``tests/oracles.py``).
 from __future__ import annotations
 
 import functools
+import math
 import sys
 import warnings
 from typing import Callable
@@ -105,8 +106,12 @@ def _integral_above(model: ParentModel, kernel: np.ndarray, F) -> np.ndarray:
 
 
 def _beta_kernel(a: int, size: int) -> np.ndarray:
-    """Density on the nodes of the relative level z of the a-th of ``size`` draws."""
-    return a * binom(size, a) * _X ** (a - 1) * _C ** (size - a)
+    """Density on the nodes of the relative level z of the a-th of ``size`` draws;
+    refused where its constant a C(size, a) is beyond the float range (from size = 1021)."""
+    const = a * binom(size, a)
+    if const > sys.float_info.max:
+        raise ValueError(f"the kernel of the {a}-th of {size} draws has a constant beyond the float range")
+    return const * _X ** (a - 1) * _C ** (size - a)
 
 
 def _check_mean(model: ParentModel) -> None:
@@ -148,17 +153,24 @@ def _mixture_kernels(spec: OverlapSpec) -> tuple[np.ndarray, ...]:
     """The rank mixture's rows, one per rank ell of the second os in the pooled
     sample: the exponents of F(y) and 1 - F(y) and the constant of the level
     factor, the atom at y, and the kernels of the terms k < ell and k > ell
-    summed on the rule's nodes.  The arrays are read-only, as every caller of
-    a geometry shares them."""
+    summed on the rule's nodes.  Where a constant is beyond the float range
+    (ell C(N, ell) / (j C(n, j)) can be from N = 1021), the third array holds
+    the constants' logs and the fourth is True.  The arrays are read-only, as
+    every caller of a geometry shares them."""
     N, j, table = spec.pooled_size, spec.j, cached_table(spec)
-    rows = []
+    rows, nums, den = [], [], j * binom(spec.n, j)
     for ell in spec.ell_support:
         p = {k: float(table[(k, ell)]) for k in spec.k_support}
         below = sum((q * _beta_kernel(k, ell - 1) for k, q in p.items() if k < ell), np.zeros_like(_X))
         above = sum((q * _beta_kernel(k - ell, N - ell) for k, q in p.items() if k > ell), np.zeros_like(_X))
-        const = (ell * binom(N, ell)) / (j * binom(spec.n, j))
-        rows.append((ell - j, j + spec.r - ell, const, p.get(ell, 0.0), below, above))
-    arrays = tuple(np.array(column) for column in zip(*rows))
+        rows.append((ell - j, j + spec.r - ell, p.get(ell, 0.0), below, above))
+        nums.append(ell * binom(N, ell))
+    try:
+        const, in_logs = [num / den for num in nums], False
+    except OverflowError:
+        const, in_logs = [math.log(num) - math.log(den) for num in nums], True
+    a, b, atoms, below, above = (np.array(column) for column in zip(*rows))
+    arrays = (a, b, np.array(const), np.array(in_logs), atoms, below, above)
     for array in arrays:
         array.flags.writeable = False
     return arrays
@@ -174,9 +186,15 @@ def mean_original_given_extended(spec: OverlapSpec, model: ParentModel, y: float
     rows in its own product.
     """
     _check_mean(model)
-    a, b, const, atoms, below, above = _mixture_kernels(spec)
+    a, b, const, in_logs, atoms, below, above = _mixture_kernels(spec)
     F = _level(model, y)
-    wf = (const * F[..., None] ** a * (1.0 - F[..., None]) ** b)[..., None, :]
+    u = F[..., None]
+    if in_logs:  # the masks keep 0 ** 0 = 1 where log(0) is -inf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            wf = np.exp(const + np.where(a > 0, a * np.log(u), 0.0) + np.where(b > 0, b * np.log1p(-u), 0.0))
+    else:
+        wf = const * u**a * (1.0 - u) ** b
+    wf = wf[..., None, :]
     lower = _integral(model, (wf @ below)[..., 0, :], 0.0, F) if below.any() else 0.0
     upper = _integral_above(model, (wf @ above)[..., 0, :], F) if above.any() else 0.0
     return (wf @ atoms)[..., 0] * y + lower + upper

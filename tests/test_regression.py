@@ -427,6 +427,30 @@ def test_closed_forms_equal_their_oracles(model):
     assert worst <= 1e-15, worst
 
 
+def test_extensions_past_the_float_range_of_the_binomials():
+    # the min and max of 2,000 draws given one: C(2000, ell) overflows a float,
+    # so the mixture forms its level factors in logs.  Both routes raise F(x) to
+    # powers up to 1999, where one rounding of F is amplified about 2000 times
+    ys = np.asarray(EXP.quantile(np.linspace(0.01, 0.99, 99)), dtype=float)
+    for fn, oracle in [
+        (mean_min_extended, oracles.mean_min_extended_reference),
+        (mean_max_extended, oracles.mean_max_extended_reference),
+    ]:
+        got, want = fn(EXP, 2000, 1, ys), oracle(EXP, 2000, 1, ys)
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), 1.0))
+    # on the uniform, E(max | one draw = x) = x^2000 + (1999/2000)(1 - x^2000)
+    x = np.linspace(0.01, 0.99, 99)
+    assert np.allclose(mean_max_extended(UNI, 2000, 1, x), x**2000 + 1999 / 2000 * (1.0 - x**2000), rtol=0, atol=1e-12)
+
+
+def test_kernel_constant_past_the_float_range_is_refused():
+    # 515 C(1029, 515) is above the largest float: this raised OverflowError
+    with pytest.raises(ValueError, match="float range"):
+        conditional_os_mean(EXP, 515, 1030, 1030, 0.5)
+    with pytest.raises(ValueError, match="float range"):
+        mean_given_single(EXP, 516, 1030, 0.5)
+
+
 # the benchmark's five ladder geometries, N = 70..250, with their middle
 # indices, and a small one
 LARGE_SPECS = [
@@ -479,7 +503,7 @@ def test_mixture_kernels_are_built_once_per_geometry():
     mean_extended_given_original(spec.swapped(), EXP, 0.7)
     assert kernels.cache_info().misses == 1
     cached = kernels(spec)
-    assert len(cached) == 6
+    assert len(cached) == 7
     for array in cached:
         with pytest.raises(ValueError):
             array[...] = 0.0
